@@ -13,7 +13,11 @@
 //  * ECDSA sign/verify end to end,
 //  * propDigest / propEqual on a shared-subterm depth-10 proposition
 //    with interning off vs on (O(depth) serialize-and-hash vs O(1)
-//    pointer compare + memo read).
+//    pointer compare + memo read),
+//  * the byte kernels: double-SHA-256 of a 64 KiB payload with the
+//    portable compress (Arg 0) vs the CPUID-dispatched one (Arg 1), and
+//    the record-log CRC32 of a 128 KiB record bytewise (Arg 0) vs the
+//    slice-by-8 store::crc32 (Arg 1).
 //
 // Before/after numbers vs BENCH_2026-08-06_fastpath.json live in
 // EXPERIMENTS.md (T12).
@@ -23,12 +27,16 @@
 #include "crypto/ecdsa.h"
 #include "crypto/keys.h"
 #include "crypto/secp256k1.h"
+#include "crypto/sha256.h"
 #include "lf/intern.h"
 #include "logic/intern.h"
 #include "logic/proposition.h"
+#include "store/log.h"
 #include "support/rng.h"
 
 #include <benchmark/benchmark.h>
+
+#include <array>
 
 using namespace typecoin;
 using namespace typecoin::crypto;
@@ -191,6 +199,58 @@ void BM_PropEqualDeep(benchmark::State &State) {
   logic::internClearAll();
 }
 BENCHMARK(BM_PropEqualDeep)->Arg(0)->Arg(1);
+
+Bytes benchPayload(size_t Len) {
+  Rng R(14);
+  Bytes Out(Len);
+  for (uint8_t &B : Out)
+    B = static_cast<uint8_t>(R.next());
+  return Out;
+}
+
+void BM_Sha256d(benchmark::State &State) {
+  const Bytes Msg = benchPayload(static_cast<size_t>(State.range(0)));
+  Sha256Kernel K =
+      State.range(1) != 0 ? sha256Kernel() : sha256CompressPortable;
+  for (auto _ : State) {
+    Sha256 Inner(K);
+    Inner.update(Msg);
+    Digest32 First = Inner.finalize();
+    Sha256 Outer(K);
+    Outer.update(First.data(), First.size());
+    benchmark::DoNotOptimize(Outer.finalize());
+  }
+  State.SetBytesProcessed(State.iterations() * State.range(0));
+}
+BENCHMARK(BM_Sha256d)->Args({65536, 0})->Args({65536, 1});
+
+/// The one-table, one-byte-per-step CRC32 the slice-by-8 kernel replaced.
+uint32_t crc32Bytewise(const Bytes &Data) {
+  static const auto Table = [] {
+    std::array<uint32_t, 256> T{};
+    for (uint32_t I = 0; I < 256; ++I) {
+      uint32_t C = I;
+      for (int K = 0; K < 8; ++K)
+        C = (C & 1) ? 0xEDB88320u ^ (C >> 1) : C >> 1;
+      T[I] = C;
+    }
+    return T;
+  }();
+  uint32_t C = 0xFFFFFFFFu;
+  for (uint8_t B : Data)
+    C = Table[(C ^ B) & 0xFF] ^ (C >> 8);
+  return C ^ 0xFFFFFFFFu;
+}
+
+void BM_Crc32(benchmark::State &State) {
+  const Bytes Record = benchPayload(static_cast<size_t>(State.range(0)));
+  bool Fast = State.range(1) != 0;
+  for (auto _ : State)
+    benchmark::DoNotOptimize(Fast ? store::crc32(Record)
+                                  : crc32Bytewise(Record));
+  State.SetBytesProcessed(State.iterations() * State.range(0));
+}
+BENCHMARK(BM_Crc32)->Args({131072, 0})->Args({131072, 1});
 
 } // namespace
 

@@ -2,7 +2,17 @@
 
 #include "crypto/sha256.h"
 
+#include "obs/metrics.h"
+
 #include <cstring>
+
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#define TYPECOIN_SHA256_X86 1
+#include <cpuid.h>
+#include <immintrin.h>
+#else
+#define TYPECOIN_SHA256_X86 0
+#endif
 
 namespace typecoin {
 namespace crypto {
@@ -37,45 +47,156 @@ void Sha256::reset() {
   BufferLen = 0;
 }
 
-void Sha256::compress(const uint8_t *Block) {
-  uint32_t W[64];
-  for (int I = 0; I < 16; ++I)
-    W[I] = static_cast<uint32_t>(Block[4 * I]) << 24 |
-           static_cast<uint32_t>(Block[4 * I + 1]) << 16 |
-           static_cast<uint32_t>(Block[4 * I + 2]) << 8 |
-           static_cast<uint32_t>(Block[4 * I + 3]);
-  for (int I = 16; I < 64; ++I) {
-    uint32_t S0 = rotr(W[I - 15], 7) ^ rotr(W[I - 15], 18) ^ (W[I - 15] >> 3);
-    uint32_t S1 = rotr(W[I - 2], 17) ^ rotr(W[I - 2], 19) ^ (W[I - 2] >> 10);
-    W[I] = W[I - 16] + S0 + W[I - 7] + S1;
+void sha256CompressPortable(uint32_t *State, const uint8_t *Data,
+                            size_t Blocks) {
+  for (; Blocks > 0; --Blocks, Data += 64) {
+    uint32_t W[64];
+    for (int I = 0; I < 16; ++I)
+      W[I] = static_cast<uint32_t>(Data[4 * I]) << 24 |
+             static_cast<uint32_t>(Data[4 * I + 1]) << 16 |
+             static_cast<uint32_t>(Data[4 * I + 2]) << 8 |
+             static_cast<uint32_t>(Data[4 * I + 3]);
+    for (int I = 16; I < 64; ++I) {
+      uint32_t S0 = rotr(W[I - 15], 7) ^ rotr(W[I - 15], 18) ^ (W[I - 15] >> 3);
+      uint32_t S1 = rotr(W[I - 2], 17) ^ rotr(W[I - 2], 19) ^ (W[I - 2] >> 10);
+      W[I] = W[I - 16] + S0 + W[I - 7] + S1;
+    }
+
+    uint32_t A = State[0], B = State[1], C = State[2], D = State[3];
+    uint32_t E = State[4], F = State[5], G = State[6], H = State[7];
+    for (int I = 0; I < 64; ++I) {
+      uint32_t S1 = rotr(E, 6) ^ rotr(E, 11) ^ rotr(E, 25);
+      uint32_t Ch = (E & F) ^ (~E & G);
+      uint32_t Temp1 = H + S1 + Ch + K[I] + W[I];
+      uint32_t S0 = rotr(A, 2) ^ rotr(A, 13) ^ rotr(A, 22);
+      uint32_t Maj = (A & B) ^ (A & C) ^ (B & C);
+      uint32_t Temp2 = S0 + Maj;
+      H = G;
+      G = F;
+      F = E;
+      E = D + Temp1;
+      D = C;
+      C = B;
+      B = A;
+      A = Temp1 + Temp2;
+    }
+    State[0] += A;
+    State[1] += B;
+    State[2] += C;
+    State[3] += D;
+    State[4] += E;
+    State[5] += F;
+    State[6] += G;
+    State[7] += H;
+  }
+}
+
+#if TYPECOIN_SHA256_X86
+namespace {
+
+#define TC_SHANI __attribute__((target("sha,sse4.1,ssse3")))
+
+/// Four rounds: message quad \p W (rounds 4Q..4Q+3) plus their constants.
+TC_SHANI inline void quadRound(__m128i &Abef, __m128i &Cdgh, __m128i W,
+                               size_t Q) {
+  __m128i Msg = _mm_add_epi32(
+      W, _mm_loadu_si128(reinterpret_cast<const __m128i *>(K + 4 * Q)));
+  Cdgh = _mm_sha256rnds2_epu32(Cdgh, Abef, Msg);
+  Abef = _mm_sha256rnds2_epu32(Abef, Cdgh, _mm_shuffle_epi32(Msg, 0x0E));
+}
+
+/// The next message quad from the previous four (oldest first).
+TC_SHANI inline __m128i nextQuad(__m128i W4, __m128i W3, __m128i W2,
+                                 __m128i W1) {
+  __m128i X = _mm_add_epi32(_mm_sha256msg1_epu32(W4, W3),
+                            _mm_alignr_epi8(W1, W2, 4));
+  return _mm_sha256msg2_epu32(X, W1);
+}
+
+/// Sixteen message bytes as four big-endian words.
+TC_SHANI inline __m128i loadQuad(const uint8_t *P) {
+  const __m128i ByteSwap =
+      _mm_set_epi64x(0x0c0d0e0f08090a0bULL, 0x0405060700010203ULL);
+  return _mm_shuffle_epi8(
+      _mm_loadu_si128(reinterpret_cast<const __m128i *>(P)), ByteSwap);
+}
+
+TC_SHANI void compressShaNi(uint32_t *State, const uint8_t *Data,
+                            size_t Blocks) {
+  // The round instructions keep the state as {A,B,E,F} and {C,D,G,H}.
+  __m128i Tmp = _mm_loadu_si128(reinterpret_cast<const __m128i *>(State));
+  __m128i Cdgh =
+      _mm_loadu_si128(reinterpret_cast<const __m128i *>(State + 4));
+  Tmp = _mm_shuffle_epi32(Tmp, 0xB1);
+  Cdgh = _mm_shuffle_epi32(Cdgh, 0x1B);
+  __m128i Abef = _mm_alignr_epi8(Tmp, Cdgh, 8);
+  Cdgh = _mm_blend_epi16(Cdgh, Tmp, 0xF0);
+
+  for (; Blocks > 0; --Blocks, Data += 64) {
+    const __m128i AbefSave = Abef, CdghSave = Cdgh;
+    __m128i W0 = loadQuad(Data), W1 = loadQuad(Data + 16),
+            W2 = loadQuad(Data + 32), W3 = loadQuad(Data + 48);
+    quadRound(Abef, Cdgh, W0, 0);
+    quadRound(Abef, Cdgh, W1, 1);
+    quadRound(Abef, Cdgh, W2, 2);
+    quadRound(Abef, Cdgh, W3, 3);
+    for (size_t Q = 4; Q < 16; Q += 4) {
+      W0 = nextQuad(W0, W1, W2, W3);
+      quadRound(Abef, Cdgh, W0, Q);
+      W1 = nextQuad(W1, W2, W3, W0);
+      quadRound(Abef, Cdgh, W1, Q + 1);
+      W2 = nextQuad(W2, W3, W0, W1);
+      quadRound(Abef, Cdgh, W2, Q + 2);
+      W3 = nextQuad(W3, W0, W1, W2);
+      quadRound(Abef, Cdgh, W3, Q + 3);
+    }
+    Abef = _mm_add_epi32(Abef, AbefSave);
+    Cdgh = _mm_add_epi32(Cdgh, CdghSave);
   }
 
-  uint32_t A = State[0], B = State[1], C = State[2], D = State[3];
-  uint32_t E = State[4], F = State[5], G = State[6], H = State[7];
-  for (int I = 0; I < 64; ++I) {
-    uint32_t S1 = rotr(E, 6) ^ rotr(E, 11) ^ rotr(E, 25);
-    uint32_t Ch = (E & F) ^ (~E & G);
-    uint32_t Temp1 = H + S1 + Ch + K[I] + W[I];
-    uint32_t S0 = rotr(A, 2) ^ rotr(A, 13) ^ rotr(A, 22);
-    uint32_t Maj = (A & B) ^ (A & C) ^ (B & C);
-    uint32_t Temp2 = S0 + Maj;
-    H = G;
-    G = F;
-    F = E;
-    E = D + Temp1;
-    D = C;
-    C = B;
-    B = A;
-    A = Temp1 + Temp2;
-  }
-  State[0] += A;
-  State[1] += B;
-  State[2] += C;
-  State[3] += D;
-  State[4] += E;
-  State[5] += F;
-  State[6] += G;
-  State[7] += H;
+  Tmp = _mm_shuffle_epi32(Abef, 0x1B);
+  Cdgh = _mm_shuffle_epi32(Cdgh, 0xB1);
+  Abef = _mm_blend_epi16(Tmp, Cdgh, 0xF0);
+  Cdgh = _mm_alignr_epi8(Cdgh, Tmp, 8);
+  _mm_storeu_si128(reinterpret_cast<__m128i *>(State), Abef);
+  _mm_storeu_si128(reinterpret_cast<__m128i *>(State + 4), Cdgh);
+}
+
+#undef TC_SHANI
+
+/// CPUID: SHA extensions (leaf 7 EBX bit 29) plus the SSSE3 (leaf 1 ECX
+/// bit 9) and SSE4.1 (bit 19) shuffles and blends the kernel uses.
+bool cpuHasShaNi() {
+  unsigned A = 0, B = 0, C = 0, D = 0;
+  if (__get_cpuid_max(0, nullptr) < 7 || !__get_cpuid(1, &A, &B, &C, &D))
+    return false;
+  bool Shuffles = (C >> 9 & 1) && (C >> 19 & 1);
+  if (!__get_cpuid_count(7, 0, &A, &B, &C, &D))
+    return false;
+  return Shuffles && (B >> 29 & 1);
+}
+
+} // namespace
+#endif // TYPECOIN_SHA256_X86
+
+Sha256Kernel sha256HardwareKernel() {
+#if TYPECOIN_SHA256_X86
+  static const Sha256Kernel Hw = cpuHasShaNi() ? compressShaNi : nullptr;
+  return Hw;
+#else
+  return nullptr;
+#endif
+}
+
+Sha256Kernel sha256Kernel() {
+  // A function-local static: the choice is made on first use, so a hash
+  // computed during another object's static initialisation is safe.
+  static const Sha256Kernel Chosen = [] {
+    Sha256Kernel Hw = sha256HardwareKernel();
+    obs::gauge("crypto.sha256.hw").set(Hw ? 1 : 0);
+    return Hw ? Hw : sha256CompressPortable;
+  }();
+  return Chosen;
 }
 
 Sha256 &Sha256::update(const uint8_t *Data, size_t Len) {
@@ -89,14 +210,14 @@ Sha256 &Sha256::update(const uint8_t *Data, size_t Len) {
     Data += Take;
     Len -= Take;
     if (BufferLen == 64) {
-      compress(Buffer);
+      Compress(State, Buffer, 1);
       BufferLen = 0;
     }
   }
-  while (Len >= 64) {
-    compress(Data);
-    Data += 64;
-    Len -= 64;
+  if (size_t Blocks = Len / 64) {
+    Compress(State, Data, Blocks);
+    Data += Blocks * 64;
+    Len -= Blocks * 64;
   }
   if (Len > 0) {
     std::memcpy(Buffer, Data, Len);

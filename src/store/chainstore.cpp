@@ -200,12 +200,16 @@ Status ChainStore::appendWal(WalKind Kind, const std::string &Key,
 }
 
 Status ChainStore::flushEpoch(const EpochData &Data) {
+  // Frame first: a snapshot too large to frame fails here, before
+  // anything on disk changes, so the previous epoch and the WAL still
+  // hold everything.
+  TC_UNWRAP(Frame, frameRecord(serializeEpoch(Data)));
   // Step 1: the block log must be durable before the snapshot can
   // attest to its tip (the snapshot's UTXO set is only reproducible
   // from the blocks it summarizes).
   TC_TRY(Blocks->sync());
   // Step 2: atomically replace the snapshot.
-  TC_TRY(writeFileAtomic(V, path(EpochFile), frameRecord(serializeEpoch(Data))));
+  TC_TRY(writeFileAtomic(V, path(EpochFile), Frame));
   // Step 3: only now is the WAL redundant.
   TC_TRY(Wal->reset());
   Snap = Data;

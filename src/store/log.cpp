@@ -11,9 +11,6 @@ namespace {
 
 constexpr uint32_t FrameMagic = 0x31524354; // 'TCR1' little-endian.
 constexpr size_t HeaderSize = 12;
-/// Refuse absurd lengths so a corrupt header cannot drive a giant
-/// allocation during the scan.
-constexpr uint32_t MaxRecordSize = 64u << 20;
 
 uint32_t readU32le(const uint8_t *P) {
   return static_cast<uint32_t>(P[0]) | static_cast<uint32_t>(P[1]) << 8 |
@@ -30,23 +27,41 @@ void putU32le(Bytes &Out, uint32_t V) {
 } // namespace
 
 uint32_t crc32(const uint8_t *Data, size_t Len) {
-  static const auto Table = [] {
-    std::array<uint32_t, 256> T{};
+  // Slice-by-8: T[0] is the bytewise table; T[K][I] is the CRC of byte I
+  // followed by K zero bytes, so one step folds eight input bytes.
+  static const auto T = [] {
+    std::array<std::array<uint32_t, 256>, 8> T{};
     for (uint32_t I = 0; I < 256; ++I) {
       uint32_t C = I;
       for (int K = 0; K < 8; ++K)
         C = (C & 1) ? 0xEDB88320u ^ (C >> 1) : C >> 1;
-      T[I] = C;
+      T[0][I] = C;
     }
+    for (uint32_t I = 0; I < 256; ++I)
+      for (int K = 1; K < 8; ++K)
+        T[K][I] = (T[K - 1][I] >> 8) ^ T[0][T[K - 1][I] & 0xFF];
     return T;
   }();
   uint32_t C = 0xFFFFFFFFu;
-  for (size_t I = 0; I < Len; ++I)
-    C = Table[(C ^ Data[I]) & 0xFF] ^ (C >> 8);
+  for (; Len >= 8; Data += 8, Len -= 8) {
+    uint32_t Lo = C ^ readU32le(Data);
+    C = T[7][Lo & 0xFF] ^ T[6][(Lo >> 8) & 0xFF] ^ T[5][(Lo >> 16) & 0xFF] ^
+        T[4][Lo >> 24] ^ T[3][Data[4]] ^ T[2][Data[5]] ^ T[1][Data[6]] ^
+        T[0][Data[7]];
+  }
+  for (; Len > 0; ++Data, --Len)
+    C = T[0][(C ^ *Data) & 0xFF] ^ (C >> 8);
   return C ^ 0xFFFFFFFFu;
 }
 
-Bytes frameRecord(const Bytes &Payload) {
+Result<Bytes> frameRecord(const Bytes &Payload) {
+  // The scan refuses longer records, so writing one would ack data that
+  // recovery then discards.
+  if (Payload.size() > MaxRecordSize)
+    return makeError("record log: payload of " +
+                     std::to_string(Payload.size()) +
+                     " bytes exceeds the record limit of " +
+                     std::to_string(MaxRecordSize));
   Bytes Out;
   Out.reserve(HeaderSize + Payload.size());
   putU32le(Out, FrameMagic);
@@ -80,7 +95,7 @@ LogScan scanRecords(const Bytes &Data) {
 Status RecordWriter::append(const Bytes &Payload) {
   if (Poisoned)
     return makeError("record log: poisoned by earlier write failure");
-  Bytes Frame = frameRecord(Payload);
+  TC_UNWRAP(Frame, frameRecord(Payload));
   Status W = File->append(Frame);
   if (!W) {
     // A partial frame may have landed; cut back to the last boundary so

@@ -33,8 +33,14 @@ inline uint32_t crc32(const Bytes &Data) {
   return crc32(Data.data(), Data.size());
 }
 
-/// Serialize one frame around \p Payload.
-Bytes frameRecord(const Bytes &Payload);
+/// The largest payload one frame may carry. The scan treats a longer
+/// length as damage (so a corrupt header cannot drive a giant
+/// allocation), and the writers refuse to produce one.
+constexpr uint32_t MaxRecordSize = 64u << 20;
+
+/// Serialize one frame around \p Payload; fails when the payload
+/// exceeds \ref MaxRecordSize.
+Result<Bytes> frameRecord(const Bytes &Payload);
 
 /// The outcome of scanning a record log.
 struct LogScan {
@@ -59,8 +65,9 @@ public:
   RecordWriter(VfsFilePtr File, size_t GoodBytes)
       : File(std::move(File)), GoodBytes(GoodBytes) {}
 
-  /// Frame and append \p Payload. On I/O failure, truncates the partial
-  /// frame away before returning the error.
+  /// Frame and append \p Payload. Refuses a payload over
+  /// \ref MaxRecordSize without touching the file. On I/O failure,
+  /// truncates the partial frame away before returning the error.
   Status append(const Bytes &Payload);
 
   /// fsync the file.

@@ -131,6 +131,42 @@ TEST(ChainStore, FlushEpochPersistsEverythingAndTruncatesTheWal) {
   EXPECT_FALSE(S->openStats().EpochCorrupt);
 }
 
+TEST(ChainStore, OversizeRecordsAreRefusedAndLeaveTheStoreIntact) {
+  // The scan rejects frames over MaxRecordSize, so the writers must too:
+  // an oversize epoch acked as durable would read back as EpochCorrupt
+  // after the WAL it replaced was already gone.
+  MemVfs V;
+  const Bytes Huge(size_t(MaxRecordSize) + 1, 0x5A);
+  {
+    auto S = openOrDie(V, "cs");
+    ASSERT_NE(S, nullptr);
+    ASSERT_TRUE(S->flushEpoch(sampleEpoch(1)));
+    ASSERT_TRUE(S->appendWal(WalKind::PairAdd, "kept", bytesOf("p")));
+    size_t Wal = S->walBytes();
+
+    EXPECT_FALSE(S->appendWal(WalKind::PairAdd, "huge", Huge));
+    EXPECT_FALSE(S->appendBlock("hh", Huge));
+    EpochData Big = sampleEpoch(2);
+    Big.Journal.push_back({"huge", Huge});
+    EXPECT_FALSE(S->flushEpoch(Big));
+
+    EXPECT_EQ(S->epochNumber(), 1u);
+    EXPECT_EQ(S->walBytes(), Wal);
+    ASSERT_EQ(S->walRecords().size(), 1u);
+    // The refused block is not remembered as stored.
+    ASSERT_TRUE(S->appendBlock("hh", bytesOf("small")));
+  }
+  V.crash();
+  auto S = openOrDie(V, "cs");
+  ASSERT_NE(S, nullptr);
+  EXPECT_FALSE(S->openStats().EpochCorrupt);
+  EXPECT_FALSE(S->openStats().WalTruncated);
+  ASSERT_NE(S->epoch(), nullptr);
+  EXPECT_EQ(S->epoch()->Number, 1u);
+  ASSERT_EQ(S->walRecords().size(), 1u);
+  EXPECT_EQ(S->walRecords()[0].Key, "kept");
+}
+
 TEST(ChainStore, LiveDeferredFoldsWalIntoTheSnapshot) {
   MemVfs V;
   auto S = openOrDie(V, "cs");
@@ -272,7 +308,7 @@ TEST(InspectStore, ReportsWhatRecoveryWouldSee) {
   {
     auto F = V.open(std::string("cs/") + ChainStore::WalFile, false);
     ASSERT_TRUE(F.hasValue());
-    ASSERT_TRUE((*F)->append(frameRecord(bytesOf("not-a-wal-record"))));
+    ASSERT_TRUE((*F)->append(*frameRecord(bytesOf("not-a-wal-record"))));
     ASSERT_TRUE((*F)->sync());
   }
   auto Bad = inspectStore(V, "cs");

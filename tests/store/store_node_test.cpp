@@ -178,7 +178,7 @@ TEST_F(StoreNode, DigestMismatchFallsBackToFullValidation) {
   Epoch->UtxoDigestHex = std::string(64, '0');
   ASSERT_TRUE(store::writeFileAtomic(
       Mem, Snap,
-      store::frameRecord(store::serializeEpoch(*Epoch))));
+      *store::frameRecord(store::serializeEpoch(*Epoch))));
 
   tc::Node Twin;
   auto R = Twin.openStore(Mem, "store", 2);
