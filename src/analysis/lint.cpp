@@ -25,9 +25,10 @@ Severity policySeverity(const LintOptions &Opts) {
 /// Diagnostics shared by the primary and every fallback: the fallback
 /// compatibility rules of Section 5 force identical inputs (txout and
 /// amount) and identical output amounts/owners, so a finding here
-/// condemns every alternative at once.
+/// condemns every alternative at once. \p TcBytes, when given, is
+/// `T.serialize()`.
 void lintShared(const Transaction &T, const LintOptions &Opts,
-                LintReport &Out) {
+                LintReport &Out, const Bytes *TcBytes = nullptr) {
   if (T.Inputs.empty())
     Out.error("input-none",
               "transaction has no inputs (replay protection requires at "
@@ -73,22 +74,9 @@ void lintShared(const Transaction &T, const LintOptions &Opts,
     if (auto S = tc::checkFallbackCompatible(T, T.Fallbacks[I]); !S)
       Out.error("fallback-shape", S.error().message(), idx("fallback", I));
 
-  auto BodyComplete = [](const Transaction &X) {
-    if (!X.Grant || !X.Proof)
-      return false;
-    for (const tc::Input &In : X.Inputs)
-      if (!In.Type)
-        return false;
-    for (const tc::Output &O : X.Outputs)
-      if (!O.Type)
-        return false;
-    return true;
-  };
-  bool Serializable = BodyComplete(T);
-  for (const Transaction &F : T.Fallbacks)
-    Serializable = Serializable && BodyComplete(F);
-  if (Serializable && Opts.MaxTcBytes != 0) {
-    size_t Size = T.serialize().size();
+  // Only a complete transaction has canonical bytes to measure.
+  if (Opts.MaxTcBytes != 0 && (TcBytes || T.isComplete())) {
+    size_t Size = TcBytes ? TcBytes->size() : T.serialize().size();
     if (Size > Opts.MaxTcBytes)
       Out.warn("tc-oversize",
                "serialized Typecoin transaction is " +
@@ -199,9 +187,11 @@ LintReport lintScripts(const bitcoin::Transaction &Btc,
   return Out;
 }
 
-LintReport lintEmbedding(const Transaction &T,
-                         const bitcoin::Transaction &Btc,
-                         const LintOptions &) {
+/// The embedding lint proper. \p TcHash is `T.hash()`, or null when
+/// \p T is incomplete and so has no hash.
+static LintReport lintEmbeddingImpl(const Transaction &T,
+                                    const bitcoin::Transaction &Btc,
+                                    const crypto::Digest32 *TcHash) {
   LintReport Out;
   auto Embedded = tc::extractMetadata(Btc);
   if (!Embedded) {
@@ -218,15 +208,30 @@ LintReport lintEmbedding(const Transaction &T,
     Out.error("embed-roundtrip",
               "embedded metadata does not round-trip through the "
               "pubkey-shaped encoding");
-  if (*Embedded != T.hash()) {
+  if (!TcHash) {
+    Out.error("embed-incomplete",
+              "the Typecoin transaction lacks a grant, proof or type, so "
+              "it has no hash to match the embedded one");
+    return Out;
+  }
+  if (*Embedded != *TcHash) {
     Out.error("embed-mismatch",
               "embedded hash does not match the Typecoin transaction "
               "hash");
     return Out;
   }
-  if (auto S = tc::checkCorrespondence(T, Btc); !S)
+  if (auto S = tc::checkCorrespondence(T, Btc, *TcHash); !S)
     Out.error("embed-correspondence", S.error().message());
   return Out;
+}
+
+LintReport lintEmbedding(const Transaction &T,
+                         const bitcoin::Transaction &Btc,
+                         const LintOptions &) {
+  if (!T.isComplete())
+    return lintEmbeddingImpl(T, Btc, nullptr);
+  crypto::Digest32 Hash = T.hash();
+  return lintEmbeddingImpl(T, Btc, &Hash);
 }
 
 LintReport lint(const tc::Pair &P, const LintOptions &Opts) {
@@ -261,13 +266,28 @@ Status lintGate(const Transaction &T, const LintOptions &Opts) {
   return gateAlternatives(T, Opts);
 }
 
-Status lintGate(const tc::Pair &P, const LintOptions &Opts) {
+/// The pair gate. \p Enc is `tc::encodeTx(P.Tc)`, or null when P.Tc is
+/// incomplete.
+static Status gatePair(const tc::Pair &P, const tc::EncodedTx *Enc,
+                       const LintOptions &Opts) {
   LintReport Shared;
-  lintShared(P.Tc, Opts, Shared);
+  lintShared(P.Tc, Opts, Shared, Enc ? &Enc->Data : nullptr);
   Shared.merge(lintScripts(P.Btc, Opts), "btc");
-  Shared.merge(lintEmbedding(P.Tc, P.Btc, Opts));
+  Shared.merge(lintEmbeddingImpl(P.Tc, P.Btc, Enc ? &Enc->Hash : nullptr));
   TC_TRY(Shared.toStatus());
   return gateAlternatives(P.Tc, Opts);
+}
+
+Status lintGate(const tc::Pair &P, const LintOptions &Opts) {
+  if (!P.Tc.isComplete())
+    return gatePair(P, nullptr, Opts);
+  tc::EncodedTx Enc = tc::encodeTx(P.Tc);
+  return gatePair(P, &Enc, Opts);
+}
+
+Status lintGate(const tc::Pair &P, const tc::EncodedTx &Enc,
+                const LintOptions &Opts) {
+  return gatePair(P, &Enc, Opts);
 }
 
 } // namespace analysis

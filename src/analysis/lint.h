@@ -80,6 +80,12 @@ LintReport lint(const tc::Pair &P, const LintOptions &Opts = LintOptions());
 /// *and every* fallback (an invalid primary with a valid fallback is
 /// still relayable, Section 5).
 Status lintGate(const tc::Pair &P, const LintOptions &Opts = LintOptions());
+/// As above, with the payload already encoded: \p Enc must equal
+/// `tc::encodeTx(P.Tc)`. The size and embedding checks read it instead
+/// of re-serializing and re-hashing the transaction; the verdict is the
+/// same.
+Status lintGate(const tc::Pair &P, const tc::EncodedTx &Enc,
+                const LintOptions &Opts = LintOptions());
 
 /// Gate for a bare Typecoin transaction (the batch-server write-through
 /// path, before the Bitcoin carrier exists).

@@ -61,17 +61,20 @@ Status Mempool::acceptTransactionImpl(const Transaction &Tx,
                        It->second.toHex());
   }
 
-  // Build a view: confirmed UTXO plus outputs of pool transactions.
-  UtxoSet View = Chain.utxo();
-  for (const auto &[PoolId, Entry] : Pool) {
-    for (uint32_t I = 0; I < Entry.Tx.Outputs.size(); ++I)
-      View.add(OutPoint{PoolId, I},
-               Coin{Entry.Tx.Outputs[I], Chain.height() + 1, false});
-    for (const TxIn &In : Entry.Tx.Inputs)
-      if (View.contains(In.Prevout)) {
-        auto Spent = View.spend(In.Prevout);
-        (void)Spent;
-      }
+  // A view holding only this transaction's inputs: a pool output first
+  // (unconfirmed, so it matures at the next height), else the confirmed
+  // coin. No spend-removal is needed: the conflict check above already
+  // rejected every input some pool transaction spends.
+  UtxoSet View;
+  for (const TxIn &In : Tx.Inputs) {
+    auto PoolIt = Pool.find(In.Prevout.Tx);
+    if (PoolIt != Pool.end() &&
+        In.Prevout.Index < PoolIt->second.Tx.Outputs.size())
+      View.add(In.Prevout,
+               Coin{PoolIt->second.Tx.Outputs[In.Prevout.Index],
+                    Chain.height() + 1, false});
+    else if (const Coin *C = Chain.utxo().find(In.Prevout))
+      View.add(In.Prevout, *C);
   }
 
   TC_UNWRAP(Fee, checkTxInputs(Tx, View, Chain.height() + 1,

@@ -60,11 +60,23 @@ Status Signature::declareTerm(const ConstName &Name, LFTypePtr Ty) {
 const Declaration *Signature::lookup(const ConstName &Name) const {
   if (const Declaration *B = builtinLookup(Name))
     return B;
-  auto It = Decls.find(Name);
-  return It == Decls.end() ? nullptr : &It->second;
+  for (const Signature *S = this; S; S = S->Parent.get()) {
+    auto It = S->Decls.find(Name);
+    if (It != S->Decls.end())
+      return &It->second;
+  }
+  return nullptr;
+}
+
+bool Signature::declaresExplicitly(const ConstName &Name) const {
+  for (const Signature *S = this; S; S = S->Parent.get())
+    if (S->Decls.count(Name))
+      return true;
+  return false;
 }
 
 Signature Signature::resolved(const std::string &Txid) const {
+  assert(!layered());
   Signature Out;
   for (const ConstName &Name : Order) {
     const Declaration &D = Decls.at(Name);
@@ -82,8 +94,9 @@ Signature Signature::resolved(const std::string &Txid) const {
 }
 
 Status Signature::append(const Signature &Other) {
+  assert(!Other.layered());
   for (const ConstName &Name : Other.Order) {
-    if (Decls.count(Name))
+    if (declaresExplicitly(Name))
       return makeError("signature: collision appending " + Name.toString());
     Decls[Name] = Other.Decls.at(Name);
     Order.push_back(Name);

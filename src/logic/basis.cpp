@@ -14,13 +14,18 @@ Status Basis::declareProp(const lf::ConstName &Name, PropPtr A) {
 }
 
 const PropPtr *Basis::lookupProp(const lf::ConstName &Name) const {
-  auto It = Props.find(Name);
-  return It == Props.end() ? nullptr : &It->second;
+  for (const Basis *B = this; B; B = B->Parent.get()) {
+    auto It = B->Props.find(Name);
+    if (It != B->Props.end())
+      return &It->second;
+  }
+  return nullptr;
 }
 
 Status Basis::checkFormedAgainst(const Basis &Global) const {
-  // Later declarations may reference earlier ones: accumulate.
-  lf::Signature Combined = Global.lfSig();
+  // Later declarations may reference earlier ones: accumulate them in a
+  // layer over the global signature.
+  lf::SignatureLayer Combined(Global.lfSig());
   for (const lf::ConstName &Name : LF.order()) {
     if (!Name.isLocal())
       return makeError("basis: declaration " + Name.toString() +
@@ -64,6 +69,7 @@ Status Basis::checkFresh() const {
 }
 
 Basis Basis::resolved(const std::string &Txid) const {
+  assert(!layered());
   Basis Out;
   Out.LF = LF.resolved(Txid);
   for (const lf::ConstName &Name : PropOrder) {
@@ -75,9 +81,10 @@ Basis Basis::resolved(const std::string &Txid) const {
 }
 
 Status Basis::append(const Basis &Other) {
+  assert(!Other.layered());
   TC_TRY(LF.append(Other.LF));
   for (const lf::ConstName &Name : Other.PropOrder) {
-    if (Props.count(Name))
+    if (lookupProp(Name))
       return makeError("basis: collision appending " + Name.toString());
     Props[Name] = Other.Props.at(Name);
     PropOrder.push_back(Name);
@@ -86,6 +93,7 @@ Status Basis::append(const Basis &Other) {
 }
 
 void Basis::serialize(Writer &W) const {
+  assert(!layered());
   lf::writeSignature(W, LF);
   W.writeCompactSize(PropOrder.size());
   for (const lf::ConstName &Name : PropOrder) {

@@ -28,6 +28,8 @@ namespace logic {
 /// A basis: LF declarations plus proposition-sorted constants.
 class Basis {
 public:
+  Basis() = default;
+
   /// The LF portion (families and term constants).
   const lf::Signature &lfSig() const { return LF; }
   lf::Signature &lfSig() { return LF; }
@@ -41,7 +43,8 @@ public:
   /// Declare a persistent proposition constant `Name : A`.
   Status declareProp(const lf::ConstName &Name, PropPtr A);
 
-  /// Look up a proposition constant; null if absent.
+  /// Look up a proposition constant (here or in a layer's parents);
+  /// null if absent.
   const PropPtr *lookupProp(const lf::ConstName &Name) const;
 
   bool contains(const lf::ConstName &Name) const {
@@ -57,22 +60,57 @@ public:
   /// type- and prop-sorted declarations must be fresh.
   Status checkFresh() const;
 
-  /// `this` -> txid in names and bodies.
+  /// `this` -> txid in names and bodies. Not defined on a layer.
   Basis resolved(const std::string &Txid) const;
 
-  /// Append another basis (the global-basis accumulation step).
+  /// Append another basis (the global-basis accumulation step). An LF
+  /// name collides with an explicit LF declaration, a proposition name
+  /// with a proposition constant, here or in a layer's parents. \p Other
+  /// must not be a layer.
   Status append(const Basis &Other);
 
-  size_t propCount() const { return PropOrder.size(); }
-  const std::vector<lf::ConstName> &propOrder() const { return PropOrder; }
+  /// Not defined on a layer.
+  size_t propCount() const {
+    assert(!layered());
+    return PropOrder.size();
+  }
+  /// Not defined on a layer.
+  const std::vector<lf::ConstName> &propOrder() const {
+    assert(!layered());
+    return PropOrder;
+  }
 
+  /// Not defined on a layer.
   void serialize(Writer &W) const;
   static Result<Basis> deserialize(Reader &R);
+
+  /// Is this a check-scoped layer over a parent (\ref BasisLayer)?
+  bool layered() const { return Parent.get() != nullptr; }
+
+protected:
+  /// An empty layer over \p Parent (see \ref BasisLayer).
+  explicit Basis(const Basis *Parent) : LF(&Parent->LF), Parent(Parent) {}
 
 private:
   lf::Signature LF;
   std::map<lf::ConstName, PropPtr> Props;
   std::vector<lf::ConstName> PropOrder;
+  lf::LayerLink<Basis> Parent;
+};
+
+/// The combined basis of one check (`Sigma_global, Sigma`, Section 4)
+/// as a layer: the local declarations over the global basis, with every
+/// lookup, redeclaration check and append-collision check falling
+/// through to it exactly as a copy of the global basis extended by the
+/// local one would answer. Only lookups are needed while checking, so
+/// the check never copies the global basis, which only grows. The
+/// parent must outlive the layer, and a layer is never copied,
+/// resolved, serialized or stored: it exists only inside one check.
+class BasisLayer : public Basis {
+public:
+  explicit BasisLayer(const Basis &Parent) : Basis(&Parent) {}
+  BasisLayer(const BasisLayer &) = delete;
+  BasisLayer &operator=(const BasisLayer &) = delete;
 };
 
 } // namespace logic

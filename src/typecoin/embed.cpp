@@ -157,8 +157,14 @@ static Status checkOneCorrespondence(const tc::Transaction &Tc,
 
 Status checkCorrespondence(const tc::Transaction &Tc,
                            const bitcoin::Transaction &Btc) {
+  return checkCorrespondence(Tc, Btc, Tc.hash());
+}
+
+Status checkCorrespondence(const tc::Transaction &Tc,
+                           const bitcoin::Transaction &Btc,
+                           const crypto::Digest32 &TcHash) {
   TC_UNWRAP(Embedded, extractMetadata(Btc));
-  if (Embedded != Tc.hash())
+  if (Embedded != TcHash)
     return makeError("embed: embedded hash does not match the Typecoin "
                      "transaction");
   TC_TRY(checkOneCorrespondence(Tc, Btc));

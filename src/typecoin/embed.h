@@ -69,6 +69,11 @@ Result<crypto::Digest32> extractMetadata(const bitcoin::Transaction &Btc);
 /// which must "map onto the same Bitcoin transaction" (Section 5).
 Status checkCorrespondence(const Transaction &Tc,
                            const bitcoin::Transaction &Btc);
+/// As above, with the Typecoin hash already computed: \p TcHash must
+/// equal `Tc.hash()`.
+Status checkCorrespondence(const Transaction &Tc,
+                           const bitcoin::Transaction &Btc,
+                           const crypto::Digest32 &TcHash);
 
 /// Are two Typecoin transactions compatible as primary/fallback — same
 /// input txouts, same output principals, same input and output bitcoin

@@ -63,8 +63,10 @@ scanRange(const bitcoin::Blockchain &Chain, const PairJournal &Journal,
       // one we broadcast (different txid, same effect); correspondence
       // only constrains what the payload actually commits to, so it
       // accepts the twin and rejects unrelated transactions that merely
-      // embed the same hash.
-      if (!checkCorrespondence(JIt->second.Tc, Tx))
+      // embed the same hash. Every journal key is the hex of its pair's
+      // payload hash (submit derives it; a store restore verifies it),
+      // so the embedded hash that found the entry is that hash.
+      if (!checkCorrespondence(JIt->second.Tc, Tx, *Meta))
         continue;
       std::string TxidHex = Tx.txid().toHex();
       // Conditions are judged at the transaction's own block (Section 5:
@@ -174,6 +176,17 @@ struct SubmitMetrics {
 Status Node::submitPair(const Pair &P) {
   SubmitMetrics &M = SubmitMetrics::get();
   obs::Span Trace("node.submitPair");
+  // Serialize and hash the payload once: the lint gate, the
+  // correspondence check, the journal key and the WAL record all reuse
+  // it. A payload missing a grant, proof or type has no canonical bytes
+  // and can never match a carrier.
+  if (!P.Tc.isComplete()) {
+    M.RejectedLint.inc();
+    return makeError("lint: the Typecoin transaction lacks a grant, proof "
+                     "or type");
+  }
+  const EncodedTx Enc = encodeTx(P.Tc);
+
   // Reject-early gate: a cheap structural lint (affine usage, script
   // standardness, embedding shape) before the full correspondence and
   // proof checks. Only findings the full pipeline is guaranteed to
@@ -182,7 +195,7 @@ Status Node::submitPair(const Pair &P) {
     obs::ScopedTimer Timer(M.LintNs);
     analysis::LintOptions LintOpts;
     LintOpts.RequireStandard = Pool.policy().RequireStandard;
-    if (auto S = analysis::lintGate(P, LintOpts); !S) {
+    if (auto S = analysis::lintGate(P, Enc, LintOpts); !S) {
       M.RejectedLint.inc();
       return S;
     }
@@ -198,7 +211,7 @@ Status Node::submitPair(const Pair &P) {
 
   {
     obs::ScopedTimer Timer(M.EmbedNs);
-    if (auto S = checkCorrespondence(P.Tc, P.Btc); !S) {
+    if (auto S = checkCorrespondence(P.Tc, P.Btc, Enc.Hash); !S) {
       M.RejectedCorrespondence.inc();
       return S;
     }
@@ -211,7 +224,7 @@ Status Node::submitPair(const Pair &P) {
   // ack) on a node that meanwhile saw the carrier confirm, or when a
   // peer re-sends a confirmed pair during healing.
   if (Chain.confirmations(P.Btc.txid()) >= 1)
-    return adoptConfirmedPair(P);
+    return adoptConfirmedPair(P, Enc);
 
   // Provisional Typecoin check against the present chain view; the
   // authoritative check happens at confirmation time.
@@ -232,14 +245,14 @@ Status Node::submitPair(const Pair &P) {
     return S;
   }
 
-  std::string Payload = payloadKey(P);
+  std::string Payload = toHex(Enc.Hash);
   // Durable-ack contract: once a store is attached, the pair's WAL
   // record is fsync'd before submitPair returns success. A write
   // failure (e.g. ENOSPC) rejects the submission — the caller retries —
   // rather than acking state a crash would forget.
   if (Store) {
     if (auto S = Store->appendWal(store::WalKind::PairAdd, Payload,
-                                  serializePair(P));
+                                  serializePair(P, Enc.Data));
         !S) {
       static obs::Counter &WalFailed = obs::counter("store.wal.failed");
       WalFailed.inc();
@@ -260,15 +273,15 @@ Status Node::submitPair(const Pair &P) {
   return Status::success();
 }
 
-Status Node::adoptConfirmedPair(const Pair &P) {
-  std::string Payload = payloadKey(P);
+Status Node::adoptConfirmedPair(const Pair &P, const EncodedTx &Enc) {
+  std::string Payload = toHex(Enc.Hash);
   if (Journal.count(Payload))
     return Status::success(); // Already known; registration is chain-driven.
   // Same durable-ack contract as the pending path: the journal entry
   // must be WAL-durable before the adoption is acknowledged.
   if (Store) {
     if (auto S = Store->appendWal(store::WalKind::PairAdd, Payload,
-                                  serializePair(P));
+                                  serializePair(P, Enc.Data));
         !S) {
       static obs::Counter &WalFailed = obs::counter("store.wal.failed");
       WalFailed.inc();
@@ -639,11 +652,13 @@ Node::openStore(store::Vfs &V, const std::string &Dir,
   ReplayErrC.inc(Stats.BlockReplayErrors);
 
   // Registration journal: snapshot entries first, then WAL records
-  // appended since the snapshot (idempotent map inserts).
+  // appended since the snapshot (idempotent map inserts). A record that
+  // does not decode, or whose key is not its payload's hash, is counted
+  // and dropped: registration trusts every journal key to be that hash.
   Journal.clear();
   auto RestorePair = [&](const std::string &Key, const Bytes &Payload) {
     auto P = deserializePair(Payload);
-    if (!P) {
+    if (!P || payloadKey(*P) != Key) {
       static obs::Counter &BadPairs =
           obs::counter("store.recover.bad_pair_records");
       BadPairs.inc();

@@ -286,8 +286,9 @@ private:
   /// Journal a pair whose carrier already confirmed on the best chain
   /// (a client retrying after a refused durable ack, or a peer
   /// re-sending a confirmed pair) and rebuild registrations from the
-  /// chain. Idempotent for already-journaled payloads.
-  Status adoptConfirmedPair(const Pair &P);
+  /// chain. Idempotent for already-journaled payloads. \p Enc is
+  /// `encodeTx(P.Tc)`.
+  Status adoptConfirmedPair(const Pair &P, const EncodedTx &Enc);
   double backoffDelay(int Attempts,
                       const std::string &JitterKey = std::string()) const;
 

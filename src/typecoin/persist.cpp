@@ -9,8 +9,12 @@ namespace typecoin {
 namespace tc {
 
 Bytes serializePair(const Pair &P) {
+  return serializePair(P, P.Tc.serialize());
+}
+
+Bytes serializePair(const Pair &P, const Bytes &TcBytes) {
   Writer W;
-  W.writeVarBytes(P.Tc.serialize());
+  W.writeVarBytes(TcBytes);
   W.writeVarBytes(P.Btc.serialize());
   return W.takeBuffer();
 }

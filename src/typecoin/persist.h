@@ -25,6 +25,9 @@ namespace tc {
 
 /// Encode a coupled pair (Typecoin transaction + Bitcoin carrier).
 Bytes serializePair(const Pair &P);
+/// As above, with the Typecoin transaction already serialized: \p TcBytes
+/// must equal `P.Tc.serialize()`. The result is byte-identical.
+Bytes serializePair(const Pair &P, const Bytes &TcBytes);
 Result<Pair> deserializePair(const Bytes &Data);
 
 /// Deterministic encoding of the UTXO set (entries in OutPoint order).

@@ -61,8 +61,8 @@ Status State::checkBody(const Transaction &T,
     TC_TRY(T.LocalBasis.checkFresh());
   }
 
-  // Sigma_global, Sigma.
-  logic::Basis Combined = Global;
+  // Sigma_global, Sigma: the local basis layered over the global one.
+  logic::BasisLayer Combined(Global);
   TC_TRY(Combined.append(T.LocalBasis));
 
   // 2. Affine grant: well-formed and fresh.

@@ -100,6 +100,28 @@ crypto::Digest32 Transaction::hash() const {
   return crypto::sha256d(serialize());
 }
 
+bool Transaction::isComplete() const {
+  if (!Grant || !Proof)
+    return false;
+  for (const Input &In : Inputs)
+    if (!In.Type)
+      return false;
+  for (const Output &Out : Outputs)
+    if (!Out.Type)
+      return false;
+  for (const Transaction &F : Fallbacks)
+    if (!F.isComplete())
+      return false;
+  return true;
+}
+
+EncodedTx encodeTx(const Transaction &T) {
+  EncodedTx Out;
+  Out.Data = T.serialize();
+  Out.Hash = crypto::sha256d(Out.Data);
+  return Out;
+}
+
 logic::PropPtr Transaction::inputTensor() const {
   std::vector<logic::PropPtr> Types;
   Types.reserve(Inputs.size());

@@ -74,6 +74,10 @@ struct Transaction {
   /// Double-SHA256 of the serialization: the embedded metadata.
   crypto::Digest32 hash() const;
 
+  /// Are the grant, the proof and every input and output type present,
+  /// here and in every fallback? Only then is \ref serialize defined.
+  bool isComplete() const;
+
   /// The tensor of input types `A` (right-nested; empty = 1).
   logic::PropPtr inputTensor() const;
   /// The tensor of output types `B`.
@@ -85,6 +89,19 @@ struct Transaction {
   /// `-o B` form (see txcheck).
   logic::PropPtr obligation(const logic::CondPtr &Phi) const;
 };
+
+/// A transaction's canonical serialization and its hash, computed
+/// once: a submit hands both to every step that needs them (lint,
+/// correspondence, the journal key, the WAL record) instead of each
+/// step re-serializing and re-hashing a payload that can run to
+/// hundreds of kilobytes.
+struct EncodedTx {
+  Bytes Data;            ///< `T.serialize()`
+  crypto::Digest32 Hash; ///< `T.hash()`, i.e. sha256d(Data)
+};
+
+/// Serialize \p T once and hash those bytes. \p T must be complete.
+EncodedTx encodeTx(const Transaction &T);
 
 /// The digest signed by an affine `assert(K, A, sig)`: "sig is a
 /// signature by K of A, Sigma', C, inputs, outputs" (Appendix A) — the

@@ -16,6 +16,7 @@
 #include "store/chainstore.h"
 #include "store/faultvfs.h"
 #include "typecoin/node.h"
+#include "typecoin/persist.h"
 
 #include <cstdlib>
 
@@ -129,6 +130,40 @@ TEST_F(StoreNode, WalKeepsAcknowledgedPairsThroughACrash) {
   ASSERT_EQ(Twin.journal().count(Key), 1u);
   EXPECT_FALSE(Twin.isRegistered(Key));
   EXPECT_GE(Twin.pendingCount(), 1u);
+}
+
+TEST_F(StoreNode, MisKeyedPairRecordsAreCountedAndDropped) {
+  // Registration trusts every journal key to be its payload's hash, so
+  // a restore drops a record whose key names another payload instead of
+  // journaling it where it would shadow the right pair.
+  store::MemVfs Mem;
+  ASSERT_TRUE(Node.openStore(Mem, "store", /*EpochInterval=*/100).hasValue());
+  auto P1 = buildGrantPair(Alice, "kept", Alice.pub(), Node.chain());
+  ASSERT_TRUE(P1.hasValue());
+  ASSERT_TRUE(Node.submitPair(*P1).hasValue());
+  auto P2 = buildGrantPair(Alice, "stray", Alice.pub(), Node.chain());
+  ASSERT_TRUE(P2.hasValue());
+  std::string K1 = tc::payloadKey(*P1);
+  ASSERT_NE(K1, tc::payloadKey(*P2));
+  ASSERT_TRUE(Node.store()
+                  ->appendWal(store::WalKind::PairAdd, K1,
+                              tc::serializePair(*P2))
+                  .hasValue());
+  ASSERT_TRUE(Node.store()
+                  ->appendWal(store::WalKind::PairAdd,
+                              std::string(64, '0'), bytesOf("garbage"))
+                  .hasValue());
+
+  obs::Counter &Bad = obs::counter("store.recover.bad_pair_records");
+  uint64_t BadBefore = Bad.value();
+  Mem.crash();
+  tc::Node Twin;
+  auto R = Twin.openStore(Mem, "store", 100);
+  ASSERT_TRUE(R.hasValue()) << R.error().message();
+  EXPECT_EQ(Bad.value(), BadBefore + 2);
+  EXPECT_EQ(R->JournalRestored, 1u);
+  ASSERT_EQ(Twin.journal().count(K1), 1u);
+  EXPECT_EQ(tc::payloadKey(Twin.journal().at(K1)), K1);
 }
 
 TEST_F(StoreNode, EnospcRejectsThePairBeforeAcknowledging) {

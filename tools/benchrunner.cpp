@@ -121,7 +121,7 @@ Result<RunResult> runOne(const fs::path &Bin, const fs::path &TmpDir,
                     " --benchmark_out=" + shellQuote(BenchOut.string()) +
                     " --benchmark_out_format=json";
   if (Opt.Smoke)
-    Cmd += " --benchmark_min_time=0.01s";
+    Cmd += " --benchmark_min_time=0.01";
   // The figure benches print witnesses on stdout; keep that out of the
   // report but on disk for debugging.
   Cmd += " > " + shellQuote(Log.string()) + " 2>&1";
