@@ -13,22 +13,12 @@ Bytes serializeEpoch(const EpochData &Data) {
   W.writeString(Data.TipHashHex);
   W.writeU32(Data.TipHeight);
   W.writeString(Data.UtxoDigestHex);
-  W.writeCompactSize(Data.Journal.size());
-  for (const auto &[Key, Payload] : Data.Journal) {
-    W.writeString(Key);
-    W.writeVarBytes(Payload);
-  }
-  W.writeCompactSize(Data.Deferred.size());
-  for (const auto &[Key, Payload] : Data.Deferred) {
-    W.writeString(Key);
-    W.writeVarBytes(Payload);
-  }
-  W.writeVarBytes(Data.Utxo);
   return W.takeBuffer();
 }
 
-Result<EpochData> deserializeEpoch(const Bytes &Payload) {
-  Reader R(Payload);
+namespace {
+
+Result<EpochData> readEpoch(Reader &R) {
   EpochData Data;
   TC_UNWRAP(Number, R.readU64());
   Data.Number = Number;
@@ -38,21 +28,40 @@ Result<EpochData> deserializeEpoch(const Bytes &Payload) {
   Data.TipHeight = TipHeight;
   TC_UNWRAP(Digest, R.readString());
   Data.UtxoDigestHex = Digest;
-  TC_UNWRAP(JournalCount, R.readCompactSize());
-  for (uint64_t I = 0; I < JournalCount; ++I) {
-    TC_UNWRAP(Key, R.readString());
-    TC_UNWRAP(Val, R.readVarBytes());
-    Data.Journal.emplace_back(Key, Val);
-  }
-  TC_UNWRAP(DeferredCount, R.readCompactSize());
-  for (uint64_t I = 0; I < DeferredCount; ++I) {
-    TC_UNWRAP(Key, R.readString());
-    TC_UNWRAP(Val, R.readVarBytes());
-    Data.Deferred.emplace_back(Key, Val);
-  }
-  TC_UNWRAP(Utxo, R.readVarBytes());
-  Data.Utxo = Utxo;
-  TC_TRY(R.expectEnd());
+  return Data;
+}
+
+/// How the bytes of an epoch.snap file read.
+enum class SnapState { Ok, Corrupt, OldLayout };
+
+/// Decode a whole epoch.snap file into \p Out. One intact record that
+/// holds the checkpoint and more is the earlier layout (checkpoint,
+/// then journal, deferred set and UTXO image): its CRC rules out
+/// damage, and it cannot be read as a checkpoint without dropping the
+/// journal entries only it holds. Anything else undecodable is damage.
+SnapState decodeSnapFile(const Bytes &File, EpochData &Out) {
+  LogScan Scan = scanRecords(File);
+  if (Scan.Records.size() != 1 || Scan.Tail)
+    return SnapState::Corrupt;
+  Reader R(Scan.Records[0]);
+  auto Data = readEpoch(R);
+  if (!Data)
+    return SnapState::Corrupt;
+  if (!R.atEnd())
+    return SnapState::OldLayout;
+  Out = Data.takeValue();
+  return SnapState::Ok;
+}
+
+} // namespace
+
+Result<EpochData> deserializeEpoch(const Bytes &Payload) {
+  Reader R(Payload);
+  TC_UNWRAP(Data, readEpoch(R));
+  if (!R.atEnd())
+    return makeError("epoch: " + std::to_string(R.remaining()) +
+                     " bytes past the checkpoint (the earlier layout that "
+                     "carried the journal)");
   return Data;
 }
 
@@ -95,25 +104,27 @@ Result<std::unique_ptr<ChainStore>> ChainStore::open(Vfs &V,
   TC_TRY(V.mkdirs(Dir));
   std::unique_ptr<ChainStore> S(new ChainStore(V, Dir));
 
-  // The epoch snapshot: the durability anchor. Absent on first boot; a
-  // crash mid-replace leaves either the old or the new file, so any
-  // present file should decode — an undecodable one is bit-rot, which
-  // we survive by falling back to from-genesis replay.
+  // The epoch checkpoint: the assume-valid anchor. Absent on first
+  // boot; a crash mid-replace leaves either the old or the new file, so
+  // any present file should decode — an undecodable one is bit-rot,
+  // which we survive by falling back to from-genesis replay. The
+  // earlier layout is refused before anything on disk changes.
   TC_UNWRAP(HaveSnap, V.exists(S->path(EpochFile)));
   if (HaveSnap) {
     TC_UNWRAP(SnapBytes, readFileAll(V, S->path(EpochFile)));
-    LogScan Scan = scanRecords(SnapBytes);
-    if (Scan.Records.size() == 1 && !Scan.Tail) {
-      auto Decoded = deserializeEpoch(Scan.Records[0]);
-      if (Decoded) {
-        S->Snap = Decoded.takeValue();
-        S->HasEpoch = true;
-        S->Stats.HadEpoch = true;
-      } else {
-        S->Stats.EpochCorrupt = true;
-      }
-    } else {
+    switch (decodeSnapFile(SnapBytes, S->Snap)) {
+    case SnapState::Ok:
+      S->HasEpoch = true;
+      S->Stats.HadEpoch = true;
+      break;
+    case SnapState::Corrupt:
       S->Stats.EpochCorrupt = true;
+      break;
+    case SnapState::OldLayout:
+      return makeError("store " + Dir + ": " + EpochFile +
+                       " is in the earlier layout that carries the pair "
+                       "journal; opening it as a checkpoint would drop "
+                       "those entries");
     }
   }
 
@@ -142,6 +153,8 @@ Result<std::unique_ptr<ChainStore>> ChainStore::open(Vfs &V,
     if (!Decoded)
       return Decoded.takeError();
     S->WalRecs.push_back(Decoded.takeValue());
+    const WalRecord &R = S->WalRecs.back();
+    S->foldDeferred(R.Kind, R.Key, R.Payload);
   }
   S->Stats.WalRecords = S->WalRecs.size();
   S->Wal = std::move(WalLog.Writer);
@@ -149,24 +162,18 @@ Result<std::unique_ptr<ChainStore>> ChainStore::open(Vfs &V,
   return S;
 }
 
-std::vector<std::pair<std::string, Bytes>> ChainStore::liveDeferred() const {
-  // Snapshot deferreds + WAL adds, minus WAL dones, preserving order.
-  std::vector<std::pair<std::string, Bytes>> Live;
-  if (HasEpoch)
-    Live = Snap.Deferred;
-  for (const WalRecord &Rec : WalRecs) {
-    if (Rec.Kind == WalKind::DeferredAdd) {
-      Live.emplace_back(Rec.Key, Rec.Payload);
-    } else if (Rec.Kind == WalKind::DeferredDone) {
-      for (auto It = Live.begin(); It != Live.end(); ++It) {
-        if (It->first == Rec.Key) {
-          Live.erase(It);
-          break;
-        }
+void ChainStore::foldDeferred(WalKind Kind, const std::string &Key,
+                              const Bytes &Payload) {
+  if (Kind == WalKind::DeferredAdd) {
+    Deferred.emplace_back(Key, Payload);
+  } else if (Kind == WalKind::DeferredDone) {
+    for (auto It = Deferred.begin(); It != Deferred.end(); ++It) {
+      if (It->first == Key) {
+        Deferred.erase(It);
+        break;
       }
     }
   }
-  return Live;
 }
 
 Status ChainStore::appendBlock(const std::string &HashHex,
@@ -191,30 +198,21 @@ Status ChainStore::appendWal(WalKind Kind, const std::string &Key,
   W.writeVarBytes(Payload);
   TC_TRY(Wal->append(W.takeBuffer()));
   TC_TRY(Wal->sync());
-  WalRecord Rec;
-  Rec.Kind = Kind;
-  Rec.Key = Key;
-  Rec.Payload = Payload;
-  WalRecs.push_back(std::move(Rec));
+  foldDeferred(Kind, Key, Payload);
   return Status::success();
 }
 
 Status ChainStore::flushEpoch(const EpochData &Data) {
-  // Frame first: a snapshot too large to frame fails here, before
-  // anything on disk changes, so the previous epoch and the WAL still
-  // hold everything.
   TC_UNWRAP(Frame, frameRecord(serializeEpoch(Data)));
-  // Step 1: the block log must be durable before the snapshot can
-  // attest to its tip (the snapshot's UTXO set is only reproducible
-  // from the blocks it summarizes).
+  // Step 1: the block log must be durable before the checkpoint can
+  // attest to its tip (the UTXO digest is only reproducible from the
+  // blocks it summarizes).
   TC_TRY(Blocks->sync());
-  // Step 2: atomically replace the snapshot.
+  // Step 2: atomically replace the checkpoint. The WAL already holds
+  // the journal durably and stays as it is.
   TC_TRY(writeFileAtomic(V, path(EpochFile), Frame));
-  // Step 3: only now is the WAL redundant.
-  TC_TRY(Wal->reset());
   Snap = Data;
   HasEpoch = true;
-  WalRecs.clear();
   DirtyBlocks = 0;
   return Status::success();
 }
@@ -239,19 +237,13 @@ Result<StoreInspection> inspectStore(Vfs &V, const std::string &Dir) {
   if (HaveEpoch) {
     Out.EpochPresent = true;
     TC_UNWRAP(SnapBytes, readFileAll(V, EpochPath));
-    LogScan Scan = scanRecords(SnapBytes);
-    if (Scan.Records.size() == 1 && !Scan.Tail) {
-      auto Decoded = deserializeEpoch(Scan.Records[0]);
-      if (Decoded) {
-        Out.EpochNumber = Decoded->Number;
-        Out.TipHashHex = Decoded->TipHashHex;
-        Out.TipHeight = Decoded->TipHeight;
-      } else {
-        Out.EpochCorrupt = true;
-      }
-    } else {
-      Out.EpochCorrupt = true;
-    }
+    EpochData Data;
+    SnapState State = decodeSnapFile(SnapBytes, Data);
+    Out.EpochCorrupt = State == SnapState::Corrupt;
+    Out.EpochOldLayout = State == SnapState::OldLayout;
+    Out.EpochNumber = Data.Number;
+    Out.TipHashHex = Data.TipHashHex;
+    Out.TipHeight = Data.TipHeight;
   }
   TC_UNWRAP(HaveTmp, V.exists(EpochPath + ".tmp"));
   Out.TmpLeftover = HaveTmp;

@@ -5,10 +5,11 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The durable chainstate engine (ROADMAP item 1): an append-only block
-/// file plus a write-ahead log and epoch-batched snapshots, all written
-/// through \ref Vfs so the crash matrix can prove the recovery
-/// invariants under injected faults.
+/// The durable chainstate engine: an append-only block file, an
+/// append-only write-ahead log that is the registration journal's only
+/// durable copy, and an epoch checkpoint, all written through \ref Vfs
+/// so the crash matrix can prove the recovery invariants under injected
+/// faults.
 ///
 /// Store directory layout (every file uses the framed record format of
 /// store/log.h):
@@ -17,24 +18,26 @@
 ///                raw block bytes. Appended as blocks arrive, fsync'd
 ///                at each flush epoch (blocks are re-derivable from
 ///                peers, so the unsynced tail is only a convenience).
-///   wal.log      one record per journal mutation since the last epoch:
-///                kind byte + key + payload. fsync'd per append — the
-///                node acknowledges a registration only after its WAL
-///                record is durable.
-///   epoch.snap   a single record: the epoch header (number, tip,
-///                UTXO digest) + full registration journal + deferred
-///                write-throughs + serialized UTXO set. Replaced
-///                atomically (tmp + rename + dir sync) at each flush
-///                epoch; the WAL is truncated only after the new
-///                snapshot is durable.
+///   wal.log      one record per journal mutation, ever: kind byte +
+///                key + payload. fsync'd per append — the node
+///                acknowledges a registration only after its WAL record
+///                is durable — and never truncated, so it *is* the
+///                journal (the paper's global basis only grows).
+///   epoch.snap   a single record: the checkpoint {epoch number, tip
+///                hash, tip height, UTXO digest} that anchors the
+///                assume-valid replay. Replaced atomically (tmp + rename
+///                + dir sync) at each flush epoch; its size does not
+///                depend on the journal's.
 ///
 /// Recovery = load epoch.snap (if any) + replay blocks.log through the
-/// validated connect path + re-apply wal.log. A torn tail on either log
-/// truncates cleanly at the last intact record; epoch.snap is either
-/// the old or the new complete snapshot, never a mixture.
+/// validated connect path + read the journal and deferred set back
+/// from wal.log. A torn tail on either log truncates cleanly at the
+/// last intact record; epoch.snap is either the old or the new complete
+/// checkpoint, never a mixture, and losing it costs only the
+/// assume-valid shortcut, never a journal entry.
 ///
 /// The engine stores opaque payload bytes; (de)serialization of pairs,
-/// blocks and the UTXO set lives with their owning types
+/// blocks and the UTXO digest lives with their owning types
 /// (typecoin/persist.h) so this library depends only on support.
 ///
 //===----------------------------------------------------------------------===//
@@ -64,7 +67,7 @@ struct WalRecord {
   Bytes Payload;
 };
 
-/// Everything a flush epoch snapshots.
+/// The checkpoint a flush epoch writes.
 struct EpochData {
   uint64_t Number = 0;
   std::string TipHashHex;
@@ -72,9 +75,6 @@ struct EpochData {
   /// sha256d over the serialized UTXO set — cross-checked during
   /// assume-valid replay (see Node::openStore).
   std::string UtxoDigestHex;
-  std::vector<std::pair<std::string, Bytes>> Journal;
-  std::vector<std::pair<std::string, Bytes>> Deferred;
-  Bytes Utxo;
 };
 
 /// What ChainStore::open found on disk (recovery provenance, surfaced
@@ -93,7 +93,9 @@ struct OpenStats {
 class ChainStore {
 public:
   /// Open (creating if needed) the store at \p Dir. Scans and repairs
-  /// both logs, decodes the epoch snapshot when present.
+  /// both logs, decodes the epoch snapshot when present. Refuses a
+  /// snapshot in the earlier layout that carried the journal itself:
+  /// treating it as damage would drop the entries only it holds.
   static Result<std::unique_ptr<ChainStore>> open(Vfs &V,
                                                   const std::string &Dir);
 
@@ -106,11 +108,14 @@ public:
   const std::vector<std::pair<std::string, Bytes>> &blockRecords() const {
     return BlockRecs;
   }
-  /// WAL records since the snapshot, in append order.
+  /// The WAL records found at open, in append order. Records appended
+  /// since are not kept in memory: the log is their only copy.
   const std::vector<WalRecord> &walRecords() const { return WalRecs; }
-  /// Deferred write-throughs live after folding the WAL into the
-  /// snapshot's deferred set.
-  std::vector<std::pair<std::string, Bytes>> liveDeferred() const;
+  /// Deferred write-throughs still unresolved: the whole log's adds
+  /// minus its dones, kept current by \ref appendWal.
+  const std::vector<std::pair<std::string, Bytes>> &liveDeferred() const {
+    return Deferred;
+  }
 
   // --- Runtime mutations ------------------------------------------------
 
@@ -122,9 +127,9 @@ public:
   Status appendWal(WalKind Kind, const std::string &Key,
                    const Bytes &Payload);
 
-  /// Flush epoch: sync the block log, atomically replace the snapshot,
-  /// then truncate the WAL. A crash between any two steps recovers to
-  /// either the previous epoch (plus its WAL) or the new one.
+  /// Flush epoch: sync the block log, then atomically replace the
+  /// checkpoint. A crash between the steps recovers to either the
+  /// previous epoch or the new one; the WAL is untouched either way.
   Status flushEpoch(const EpochData &Data);
 
   // --- Gauges ------------------------------------------------------------
@@ -142,6 +147,9 @@ private:
   ChainStore(Vfs &V, std::string Dir) : V(V), Dir(std::move(Dir)) {}
 
   std::string path(const char *Name) const { return Dir + "/" + Name; }
+  /// Apply one WAL record to the live deferred set.
+  void foldDeferred(WalKind Kind, const std::string &Key,
+                    const Bytes &Payload);
 
   Vfs &V;
   std::string Dir;
@@ -149,6 +157,7 @@ private:
   std::unique_ptr<RecordWriter> Wal;
   std::vector<std::pair<std::string, Bytes>> BlockRecs;
   std::vector<WalRecord> WalRecs;
+  std::vector<std::pair<std::string, Bytes>> Deferred;
   std::set<std::string> KnownBlocks;
   EpochData Snap;
   bool HasEpoch = false;
@@ -156,7 +165,9 @@ private:
   size_t DirtyBlocks = 0;
 };
 
-/// Serialize / decode the snapshot payload (exposed for tclint).
+/// Serialize / decode the checkpoint payload (exposed for tests). A
+/// payload with bytes past the checkpoint is the earlier layout and
+/// does not decode.
 Bytes serializeEpoch(const EpochData &Data);
 Result<EpochData> deserializeEpoch(const Bytes &Payload);
 /// Decode one WAL record payload.
@@ -168,6 +179,9 @@ struct StoreInspection {
   bool DirExists = false;
   bool EpochPresent = false;
   bool EpochCorrupt = false;
+  /// The snapshot is in the earlier journal-carrying layout, which
+  /// recovery refuses.
+  bool EpochOldLayout = false;
   uint64_t EpochNumber = 0;
   std::string TipHashHex;
   uint32_t TipHeight = 0;

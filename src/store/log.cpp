@@ -115,14 +115,6 @@ Status RecordWriter::sync() {
   return File->sync();
 }
 
-Status RecordWriter::reset() {
-  if (Poisoned)
-    return makeError("record log: poisoned by earlier write failure");
-  TC_TRY(File->truncate(0));
-  GoodBytes = 0;
-  return File->sync();
-}
-
 Result<OpenedLog> openLog(Vfs &V, const std::string &Path) {
   TC_UNWRAP(F, V.open(Path, /*Create=*/true));
   TC_UNWRAP(Data, F->readAll());

@@ -76,10 +76,6 @@ public:
   /// Bytes of intact frames currently in the file.
   size_t goodBytes() const { return GoodBytes; }
 
-  /// Truncate the log to empty (after its contents were folded into a
-  /// durable snapshot) and sync.
-  Status reset();
-
 private:
   VfsFilePtr File;
   size_t GoodBytes;

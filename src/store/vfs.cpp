@@ -196,6 +196,48 @@ Status PosixVfs::syncDir(const std::string &Dir) {
 
 // --- MemVfs -------------------------------------------------------------
 
+void ChunkedBytes::append(const uint8_t *Data, size_t Len) {
+  while (Len > 0) {
+    if (Chunks.empty() || Chunks.back().size() == ChunkSize) {
+      Chunks.emplace_back();
+      Chunks.back().reserve(ChunkSize);
+    }
+    Bytes &Last = Chunks.back();
+    size_t N = std::min(Len, ChunkSize - Last.size());
+    Last.insert(Last.end(), Data, Data + N);
+    Data += N;
+    Len -= N;
+  }
+}
+
+void ChunkedBytes::truncate(size_t NewSize) {
+  if (NewSize >= size())
+    return;
+  size_t Keep = (NewSize + ChunkSize - 1) / ChunkSize;
+  Chunks.resize(Keep);
+  if (Keep > 0)
+    Chunks.back().resize(NewSize - (Keep - 1) * ChunkSize);
+}
+
+void ChunkedBytes::copyFrom(const ChunkedBytes &Src, size_t Same) {
+  size_t Pos = std::min({Same, size(), Src.size()});
+  truncate(Pos);
+  while (Pos < Src.size()) {
+    const Bytes &From = Src.Chunks[Pos / ChunkSize];
+    size_t Off = Pos % ChunkSize;
+    append(From.data() + Off, From.size() - Off);
+    Pos += From.size() - Off;
+  }
+}
+
+Bytes ChunkedBytes::flatten() const {
+  Bytes Out;
+  Out.reserve(size());
+  for (const Bytes &C : Chunks)
+    Out.insert(Out.end(), C.begin(), C.end());
+  return Out;
+}
+
 namespace {
 
 class MemVfsFile : public VfsFile {
@@ -206,20 +248,21 @@ public:
   Result<size_t> size() override { return F->Content.size(); }
 
   Status append(const uint8_t *Data, size_t Len) override {
-    F->Content.insert(F->Content.end(), Data, Data + Len);
+    F->Content.append(Data, Len);
     return Status::success();
   }
 
-  Result<Bytes> readAll() override { return F->Content; }
+  Result<Bytes> readAll() override { return F->Content.flatten(); }
 
   Status truncate(size_t NewSize) override {
-    if (NewSize < F->Content.size())
-      F->Content.resize(NewSize);
+    F->Content.truncate(NewSize);
+    F->Same = std::min(F->Same, NewSize);
     return Status::success();
   }
 
   Status sync() override {
-    F->Durable = F->Content;
+    F->Durable.copyFrom(F->Content, F->Same);
+    F->Same = F->Content.size();
     return Status::success();
   }
 
@@ -315,7 +358,8 @@ void MemVfs::crash(const CrashOptions &Opt) {
         F->Content[F->Content.size() - 1] ^= 0x40;
       continue;
     }
-    F->Content = F->Durable;
+    F->Content.copyFrom(F->Durable, F->Same);
+    F->Same = F->Durable.size();
   }
 }
 

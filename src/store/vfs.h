@@ -15,7 +15,10 @@
 ///    honestly*: every file tracks its last-synced content separately
 ///    from its current content, and renames stay provisional until the
 ///    containing directory is synced. \ref MemVfs::crash rewinds the
-///    filesystem to exactly what a power loss would leave behind.
+///    filesystem to exactly what a power loss would leave behind. Like
+///    an fsync, which writes only dirty pages, a sync copies only what
+///    changed since the previous one, so an ever-growing log costs each
+///    sync its new bytes, not its whole length.
 ///  * \ref FaultVfs (store/faultvfs.h) — a wrapper injecting torn
 ///    writes, short writes, fsync lies, ENOSPC, and crash points at
 ///    every I/O boundary.
@@ -116,6 +119,34 @@ struct CrashOptions {
   bool FlipBitInTail = false;
 };
 
+/// File bytes kept in fixed-size chunks: appending never moves what is
+/// already stored, and \ref copyFrom rewrites only the part past a
+/// prefix both sides are known to share.
+class ChunkedBytes {
+public:
+  static constexpr size_t ChunkSize = 4096;
+
+  size_t size() const {
+    if (Chunks.empty())
+      return 0;
+    return (Chunks.size() - 1) * ChunkSize + Chunks.back().size();
+  }
+  void append(const uint8_t *Data, size_t Len);
+  /// Shrink to \p NewSize; a no-op when the content is not longer.
+  void truncate(size_t NewSize);
+  /// Become a copy of \p Src, given that both already hold the same
+  /// first \p Same bytes: only the rest is copied.
+  void copyFrom(const ChunkedBytes &Src, size_t Same);
+  uint8_t &operator[](size_t I) { return Chunks[I / ChunkSize][I % ChunkSize]; }
+  /// The content as one contiguous buffer.
+  Bytes flatten() const;
+
+private:
+  /// Every chunk but the last holds exactly ChunkSize bytes; the last
+  /// is never empty.
+  std::vector<Bytes> Chunks;
+};
+
 /// An in-memory filesystem with honest durability semantics. Not
 /// thread-safe (the chainstate engine serializes its I/O).
 class MemVfs : public Vfs {
@@ -140,8 +171,12 @@ public:
 
   /// One in-memory file: current content plus the last-synced content.
   struct MemFile {
-    Bytes Content;
-    Bytes Durable;
+    ChunkedBytes Content;
+    ChunkedBytes Durable;
+    /// Length of the prefix Content and Durable are known to share:
+    /// everything past it is dirty (appended or rewritten since the
+    /// last sync).
+    size_t Same = 0;
   };
 
 private:

@@ -536,12 +536,6 @@ Status Node::flushStoreEpoch() {
   Data.TipHashHex = Chain.tipHash().toHex();
   Data.TipHeight = static_cast<uint32_t>(Chain.height());
   Data.UtxoDigestHex = utxoDigestHex(Chain.utxo());
-  for (const auto &[Payload, P] : Journal)
-    Data.Journal.emplace_back(Payload, serializePair(P));
-  // Unresolved deferred write-throughs (batch server) roll forward into
-  // the new snapshot so truncating the WAL cannot lose them.
-  Data.Deferred = Store->liveDeferred();
-  Data.Utxo = serializeUtxo(Chain.utxo());
   TC_TRY(Store->flushEpoch(Data));
   updateStoreGauges();
   return Status::success();
@@ -590,6 +584,10 @@ Node::openStore(store::Vfs &V, const std::string &Dir,
       (void)Height;
       TC_TRY(Store->appendBlock(B->hash().toHex(), B->serialize()));
     }
+    // The WAL is the journal's only durable copy.
+    for (const auto &[Payload, P] : Journal)
+      TC_TRY(Store->appendWal(store::WalKind::PairAdd, Payload,
+                              serializePair(P)));
     TC_TRY(flushStoreEpoch());
     Stats.Epoch = Store->epochNumber();
     updateStoreGauges();
@@ -651,27 +649,23 @@ Node::openStore(store::Vfs &V, const std::string &Dir,
   }
   ReplayErrC.inc(Stats.BlockReplayErrors);
 
-  // Registration journal: snapshot entries first, then WAL records
-  // appended since the snapshot (idempotent map inserts). A record that
-  // does not decode, or whose key is not its payload's hash, is counted
-  // and dropped: registration trusts every journal key to be that hash.
+  // Registration journal: the WAL's PairAdd records, in append order
+  // (idempotent map inserts). A record that does not decode, or whose
+  // key is not its payload's hash, is counted and dropped: registration
+  // trusts every journal key to be that hash.
   Journal.clear();
-  auto RestorePair = [&](const std::string &Key, const Bytes &Payload) {
-    auto P = deserializePair(Payload);
-    if (!P || payloadKey(*P) != Key) {
+  for (const store::WalRecord &Rec : Store->walRecords()) {
+    if (Rec.Kind != store::WalKind::PairAdd)
+      continue;
+    auto P = deserializePair(Rec.Payload);
+    if (!P || payloadKey(*P) != Rec.Key) {
       static obs::Counter &BadPairs =
           obs::counter("store.recover.bad_pair_records");
       BadPairs.inc();
-      return;
+      continue;
     }
-    Journal[Key] = P.takeValue();
-  };
-  if (Epoch)
-    for (const auto &[Key, Payload] : Epoch->Journal)
-      RestorePair(Key, Payload);
-  for (const store::WalRecord &Rec : Store->walRecords())
-    if (Rec.Kind == store::WalKind::PairAdd)
-      RestorePair(Rec.Key, Rec.Payload);
+    Journal[Rec.Key] = P.takeValue();
+  }
   Stats.JournalRestored = Journal.size();
 
   // Volatile state rebuilds exactly as in recover().

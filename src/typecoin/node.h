@@ -200,7 +200,7 @@ public:
     uint64_t Epoch = 0;            ///< Last durable epoch (0 = none).
     size_t BlocksReplayed = 0;     ///< Blocks re-connected from the log.
     size_t BlockReplayErrors = 0;  ///< Log records the chain rejected.
-    size_t JournalRestored = 0;    ///< Pairs from snapshot + WAL.
+    size_t JournalRestored = 0;    ///< Pairs read back from the WAL.
     bool DigestMismatch = false;   ///< Snapshot UTXO digest cross-check
                                    ///< failed; fell back to full
                                    ///< validation.
@@ -212,9 +212,9 @@ public:
   /// rebuilds from disk: blocks replay through the validated connect
   /// path (script checks skipped up to the last durable epoch's tip,
   /// whose UTXO digest is cross-checked), the registration journal is
-  /// restored from the snapshot plus the WAL, and volatile state is
-  /// rebuilt as in \ref recover. When the store is empty, the node's
-  /// current in-memory state seeds it (from-genesis bootstrap). After
+  /// read back from the WAL, and volatile state is rebuilt as in
+  /// \ref recover. When the store is empty, the node's current
+  /// in-memory state seeds it (from-genesis bootstrap). After
   /// this call every accepted pair is WAL-durable before submitPair
   /// returns, and every \p EpochInterval persisted blocks trigger a
   /// flush epoch. The Vfs must outlive the node.
@@ -229,8 +229,8 @@ public:
   /// The attached store, or nullptr.
   store::ChainStore *store() { return Store.get(); }
 
-  /// Force a flush epoch now (blocks fsync'd, snapshot replaced, WAL
-  /// truncated). No-op without a store.
+  /// Force a flush epoch now (blocks fsync'd, checkpoint replaced).
+  /// No-op without a store.
   Status flushStoreEpoch();
 
   // --- Resubmission queue -----------------------------------------------

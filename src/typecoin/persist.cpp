@@ -32,7 +32,7 @@ Result<Pair> deserializePair(const Bytes &Data) {
   return P;
 }
 
-Bytes serializeUtxo(const bitcoin::UtxoSet &Utxo) {
+std::string utxoDigestHex(const bitcoin::UtxoSet &Utxo) {
   Writer W;
   W.writeCompactSize(Utxo.size());
   // entries() is an ordered map: the encoding is deterministic, so two
@@ -45,36 +45,7 @@ Bytes serializeUtxo(const bitcoin::UtxoSet &Utxo) {
     W.writeU32(static_cast<uint32_t>(Coin.Height));
     W.writeU8(Coin.IsCoinbase ? 1 : 0);
   }
-  return W.takeBuffer();
-}
-
-Result<bitcoin::UtxoSet> deserializeUtxo(const Bytes &Data) {
-  Reader R(Data);
-  bitcoin::UtxoSet Utxo;
-  TC_UNWRAP(Count, R.readCompactSize());
-  for (uint64_t I = 0; I < Count; ++I) {
-    bitcoin::OutPoint Point;
-    TC_UNWRAP(Hash, R.readBytes(Point.Tx.Hash.size()));
-    std::copy(Hash.begin(), Hash.end(), Point.Tx.Hash.begin());
-    TC_UNWRAP(Index, R.readU32());
-    Point.Index = Index;
-    bitcoin::Coin C;
-    TC_UNWRAP(Value, R.readU64());
-    C.Out.Value = static_cast<bitcoin::Amount>(Value);
-    TC_UNWRAP(Script, R.readVarBytes());
-    C.Out.ScriptPubKey = bitcoin::Script(Script);
-    TC_UNWRAP(Height, R.readU32());
-    C.Height = static_cast<int>(Height);
-    TC_UNWRAP(Coinbase, R.readU8());
-    C.IsCoinbase = Coinbase != 0;
-    Utxo.add(Point, std::move(C));
-  }
-  TC_TRY(R.expectEnd());
-  return Utxo;
-}
-
-std::string utxoDigestHex(const bitcoin::UtxoSet &Utxo) {
-  return toHex(crypto::sha256d(serializeUtxo(Utxo)));
+  return toHex(crypto::sha256d(W.buffer()));
 }
 
 } // namespace tc

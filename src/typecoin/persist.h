@@ -7,9 +7,9 @@
 /// \file
 /// Serialization of the node's durable state for store/chainstore.h.
 /// The store itself moves opaque bytes; these helpers define what those
-/// bytes mean: coupled pairs for the registration journal and WAL, and
-/// the UTXO set for the epoch snapshot (whose sha256d digest lets an
-/// assume-valid replay cross-check its result against the snapshot
+/// bytes mean: coupled pairs for the registration journal (the WAL),
+/// and the UTXO digest for the epoch checkpoint (which lets an
+/// assume-valid replay cross-check its result against the checkpoint
 /// without re-running script checks).
 ///
 //===----------------------------------------------------------------------===//
@@ -30,12 +30,8 @@ Bytes serializePair(const Pair &P);
 Bytes serializePair(const Pair &P, const Bytes &TcBytes);
 Result<Pair> deserializePair(const Bytes &Data);
 
-/// Deterministic encoding of the UTXO set (entries in OutPoint order).
-Bytes serializeUtxo(const bitcoin::UtxoSet &Utxo);
-Result<bitcoin::UtxoSet> deserializeUtxo(const Bytes &Data);
-
-/// Hex sha256d of \ref serializeUtxo — the epoch snapshot's
-/// cross-check digest.
+/// Hex sha256d of a deterministic encoding of the UTXO set (entries in
+/// OutPoint order) — the epoch checkpoint's cross-check digest.
 std::string utxoDigestHex(const bitcoin::UtxoSet &Utxo);
 
 } // namespace tc

@@ -2,13 +2,15 @@
 //
 // The engine's durability contract in isolation (the node-level story
 // lives in store_node_test.cpp and the crash matrix): WAL appends are
-// durable before they return, flush epochs replace the snapshot
-// atomically and only then truncate the WAL, and recovery folds
-// snapshot + WAL back into exactly the pre-crash picture.
+// durable before they return, the WAL is never truncated, flush epochs
+// replace a journal-independent checkpoint atomically, and recovery
+// reads checkpoint + WAL back into exactly the pre-crash picture.
 //
 //===----------------------------------------------------------------------===//
 
 #include "store/chainstore.h"
+
+#include "support/serialize.h"
 
 #include <gtest/gtest.h>
 
@@ -31,10 +33,28 @@ EpochData sampleEpoch(uint64_t Number) {
   E.TipHashHex = "aa00bb";
   E.TipHeight = 7;
   E.UtxoDigestHex = "deadbeef";
-  E.Journal.push_back({"pair1", bytesOf("pair1-bytes")});
-  E.Deferred.push_back({"def1", bytesOf("def1-bytes")});
-  E.Utxo = bytesOf("utxo-image");
   return E;
+}
+
+/// A snapshot payload in the earlier layout: the checkpoint followed by
+/// the journal, the deferred set and a UTXO image.
+Bytes oldLayoutPayload(const EpochData &E) {
+  Writer W;
+  W.writeCompactSize(1);
+  W.writeString("pair1");
+  W.writeVarBytes(bytesOf("pair1-bytes"));
+  W.writeCompactSize(0);
+  W.writeVarBytes(bytesOf("utxo-image"));
+  Bytes Out = serializeEpoch(E);
+  const Bytes &Rest = W.buffer();
+  Out.insert(Out.end(), Rest.begin(), Rest.end());
+  return Out;
+}
+
+size_t fileSize(MemVfs &V, const std::string &Path) {
+  auto B = readFileAll(V, Path);
+  EXPECT_TRUE(B.hasValue());
+  return B.hasValue() ? B->size() : 0;
 }
 
 TEST(EpochCodec, RoundTrips) {
@@ -45,13 +65,10 @@ TEST(EpochCodec, RoundTrips) {
   EXPECT_EQ(Back->TipHashHex, "aa00bb");
   EXPECT_EQ(Back->TipHeight, 7u);
   EXPECT_EQ(Back->UtxoDigestHex, "deadbeef");
-  ASSERT_EQ(Back->Journal.size(), 1u);
-  EXPECT_EQ(Back->Journal[0].first, "pair1");
-  ASSERT_EQ(Back->Deferred.size(), 1u);
-  EXPECT_EQ(Back->Deferred[0].second, bytesOf("def1-bytes"));
-  EXPECT_EQ(Back->Utxo, bytesOf("utxo-image"));
 
   EXPECT_FALSE(deserializeEpoch(bytesOf("garbage")).hasValue());
+  // The earlier layout's trailing journal does not read as a checkpoint.
+  EXPECT_FALSE(deserializeEpoch(oldLayoutPayload(E)).hasValue());
 }
 
 TEST(WalCodec, RejectsUnknownKinds) {
@@ -105,18 +122,18 @@ TEST(ChainStore, WalAppendsAreDurableImmediately) {
   EXPECT_TRUE(S->blockRecords().empty()); // The unsynced block died.
 }
 
-TEST(ChainStore, FlushEpochPersistsEverythingAndTruncatesTheWal) {
+TEST(ChainStore, FlushEpochPersistsEverythingAndKeepsTheWal) {
   MemVfs V;
   {
     auto S = openOrDie(V, "cs");
     ASSERT_NE(S, nullptr);
     ASSERT_TRUE(S->appendBlock("h1", bytesOf("block-one")));
     ASSERT_TRUE(S->appendWal(WalKind::PairAdd, "pair1", bytesOf("p")));
+    size_t Wal = S->walBytes();
     ASSERT_TRUE(S->flushEpoch(sampleEpoch(1)));
     EXPECT_EQ(S->epochNumber(), 1u);
-    EXPECT_EQ(S->walBytes(), 0u);
+    EXPECT_EQ(S->walBytes(), Wal); // The WAL is the journal: kept whole.
     EXPECT_EQ(S->dirtyBlocks(), 0u);
-    EXPECT_TRUE(S->walRecords().empty());
   }
   V.crash();
   auto S = openOrDie(V, "cs");
@@ -126,15 +143,16 @@ TEST(ChainStore, FlushEpochPersistsEverythingAndTruncatesTheWal) {
   EXPECT_EQ(S->epoch()->TipHashHex, "aa00bb");
   ASSERT_EQ(S->blockRecords().size(), 1u); // Synced by the flush.
   EXPECT_EQ(S->blockRecords()[0].second, bytesOf("block-one"));
-  EXPECT_TRUE(S->walRecords().empty());
+  ASSERT_EQ(S->walRecords().size(), 1u);
+  EXPECT_EQ(S->walRecords()[0].Key, "pair1");
+  EXPECT_EQ(S->walRecords()[0].Payload, bytesOf("p"));
   EXPECT_FALSE(S->openStats().WalTruncated);
   EXPECT_FALSE(S->openStats().EpochCorrupt);
 }
 
 TEST(ChainStore, OversizeRecordsAreRefusedAndLeaveTheStoreIntact) {
   // The scan rejects frames over MaxRecordSize, so the writers must too:
-  // an oversize epoch acked as durable would read back as EpochCorrupt
-  // after the WAL it replaced was already gone.
+  // an oversize record acked as durable would read back as damage.
   MemVfs V;
   const Bytes Huge(size_t(MaxRecordSize) + 1, 0x5A);
   {
@@ -147,12 +165,11 @@ TEST(ChainStore, OversizeRecordsAreRefusedAndLeaveTheStoreIntact) {
     EXPECT_FALSE(S->appendWal(WalKind::PairAdd, "huge", Huge));
     EXPECT_FALSE(S->appendBlock("hh", Huge));
     EpochData Big = sampleEpoch(2);
-    Big.Journal.push_back({"huge", Huge});
+    Big.TipHashHex = std::string(Huge.begin(), Huge.end());
     EXPECT_FALSE(S->flushEpoch(Big));
 
     EXPECT_EQ(S->epochNumber(), 1u);
     EXPECT_EQ(S->walBytes(), Wal);
-    ASSERT_EQ(S->walRecords().size(), 1u);
     // The refused block is not remembered as stored.
     ASSERT_TRUE(S->appendBlock("hh", bytesOf("small")));
   }
@@ -167,15 +184,14 @@ TEST(ChainStore, OversizeRecordsAreRefusedAndLeaveTheStoreIntact) {
   EXPECT_EQ(S->walRecords()[0].Key, "kept");
 }
 
-TEST(ChainStore, LiveDeferredFoldsWalIntoTheSnapshot) {
+TEST(ChainStore, LiveDeferredFoldsTheWholeWal) {
   MemVfs V;
   auto S = openOrDie(V, "cs");
   ASSERT_NE(S, nullptr);
-  EpochData E;
-  E.Number = 1;
-  E.Deferred.push_back({"a", bytesOf("A")});
-  E.Deferred.push_back({"b", bytesOf("B")});
-  ASSERT_TRUE(S->flushEpoch(E));
+  ASSERT_TRUE(S->appendWal(WalKind::DeferredAdd, "a", bytesOf("A")));
+  ASSERT_TRUE(S->appendWal(WalKind::DeferredAdd, "b", bytesOf("B")));
+  // A flush epoch in between changes nothing: the log spans it.
+  ASSERT_TRUE(S->flushEpoch(sampleEpoch(1)));
   ASSERT_TRUE(S->appendWal(WalKind::DeferredAdd, "c", bytesOf("C")));
   ASSERT_TRUE(S->appendWal(WalKind::DeferredDone, "a", Bytes()));
 
@@ -184,13 +200,82 @@ TEST(ChainStore, LiveDeferredFoldsWalIntoTheSnapshot) {
   EXPECT_EQ(Live[0].first, "b");
   EXPECT_EQ(Live[1].first, "c");
 
-  // Folding survives reopen (snapshot + WAL are both durable).
+  // Folding survives reopen (every WAL record is durable).
   auto S2 = openOrDie(V, "cs");
   ASSERT_NE(S2, nullptr);
   auto Live2 = S2->liveDeferred();
   ASSERT_EQ(Live2.size(), 2u);
   EXPECT_EQ(Live2[0].first, "b");
   EXPECT_EQ(Live2[1].first, "c");
+}
+
+TEST(ChainStore, JournalOverTheRecordLimitFlushesAndReopensWhole) {
+  // 70 records of 1 MiB: a journal no single record could hold.
+  constexpr size_t Records = 70;
+  const Bytes Payload(size_t(1) << 20, 0x3C);
+  ASSERT_GT(Records * Payload.size(), size_t(MaxRecordSize));
+  MemVfs V;
+  {
+    auto S = openOrDie(V, "cs");
+    ASSERT_NE(S, nullptr);
+    for (size_t I = 0; I < Records; ++I)
+      ASSERT_TRUE(
+          S->appendWal(WalKind::PairAdd, "k" + std::to_string(I), Payload));
+    ASSERT_TRUE(S->flushEpoch(sampleEpoch(1)));
+  }
+  V.crash();
+  auto S = openOrDie(V, "cs");
+  ASSERT_NE(S, nullptr);
+  EXPECT_FALSE(S->openStats().EpochCorrupt);
+  EXPECT_FALSE(S->openStats().WalTruncated);
+  ASSERT_NE(S->epoch(), nullptr);
+  EXPECT_EQ(S->epoch()->Number, 1u);
+  ASSERT_EQ(S->walRecords().size(), Records);
+  for (size_t I = 0; I < Records; ++I) {
+    EXPECT_EQ(S->walRecords()[I].Key, "k" + std::to_string(I));
+    EXPECT_EQ(S->walRecords()[I].Payload, Payload);
+  }
+}
+
+TEST(ChainStore, EpochSnapshotSizeDoesNotGrowWithTheJournal) {
+  // A work gate, not a timing one: the flush writes the same checkpoint
+  // bytes after a 1-record journal as after a 200-record one.
+  auto SnapBytesAfter = [](size_t Records) {
+    MemVfs V;
+    auto S = openOrDie(V, "cs");
+    EXPECT_NE(S, nullptr);
+    if (!S)
+      return size_t(0);
+    for (size_t I = 0; I < Records; ++I)
+      EXPECT_TRUE(S->appendWal(WalKind::PairAdd, "k" + std::to_string(I),
+                               Bytes(512, 0x11)));
+    EXPECT_TRUE(S->flushEpoch(sampleEpoch(1)));
+    return fileSize(V, std::string("cs/") + ChainStore::EpochFile);
+  };
+  size_t Small = SnapBytesAfter(1);
+  EXPECT_GT(Small, 0u);
+  EXPECT_EQ(SnapBytesAfter(200), Small);
+}
+
+TEST(ChainStore, OldLayoutSnapshotIsRefusedNotTakenForDamage) {
+  MemVfs V;
+  const std::string Snap = std::string("cs/") + ChainStore::EpochFile;
+  ASSERT_TRUE(V.mkdirs("cs"));
+  ASSERT_TRUE(
+      writeFileAtomic(V, Snap, *frameRecord(oldLayoutPayload(sampleEpoch(2)))));
+  size_t Before = fileSize(V, Snap);
+
+  auto S = ChainStore::open(V, "cs");
+  ASSERT_FALSE(S.hasValue());
+  EXPECT_NE(S.error().message().find("earlier layout"), std::string::npos)
+      << S.error().message();
+  EXPECT_EQ(fileSize(V, Snap), Before); // Refused before touching it.
+
+  auto I = inspectStore(V, "cs");
+  ASSERT_TRUE(I.hasValue());
+  EXPECT_TRUE(I->EpochPresent);
+  EXPECT_FALSE(I->EpochCorrupt);
+  EXPECT_TRUE(I->EpochOldLayout);
 }
 
 TEST(ChainStore, CorruptEpochSnapshotIsSurvivable) {
@@ -290,7 +375,7 @@ TEST(InspectStore, ReportsWhatRecoveryWouldSee) {
   EXPECT_EQ(I->TipHeight, 7u);
   EXPECT_EQ(I->BlockRecords, 1u);
   EXPECT_EQ(I->BlockTailBytes, 0u);
-  EXPECT_EQ(I->WalRecords, 1u);
+  EXPECT_EQ(I->WalRecords, 2u); // k1 outlives the flush, k2 follows it.
   EXPECT_GT(I->WalTailBytes, 0u);
   EXPECT_EQ(I->UndecodableWalRecords, 0u);
   EXPECT_TRUE(I->TmpLeftover);

@@ -227,18 +227,4 @@ TEST(OpenLog, TruncatesTheDamagedTailOnDisk) {
   EXPECT_FALSE(Again->Scan.Tail);
 }
 
-TEST(OpenLog, ResetEmptiesTheLog) {
-  MemVfs V;
-  auto L = openLog(V, "log");
-  ASSERT_TRUE(L.hasValue());
-  ASSERT_TRUE(L->Writer->append(bytesOf("ephemeral")));
-  ASSERT_TRUE(L->Writer->reset());
-  EXPECT_EQ(L->Writer->goodBytes(), 0u);
-
-  V.crash(); // reset() syncs: emptiness is durable.
-  auto Again = openLog(V, "log");
-  ASSERT_TRUE(Again.hasValue());
-  EXPECT_TRUE(Again->Scan.Records.empty());
-}
-
 } // namespace

@@ -3,9 +3,9 @@
 // The node-level durability contract: openStore either seeds a fresh
 // store from memory or rebuilds the node from disk (assume-valid block
 // replay cross-checked against the epoch's UTXO digest, journal from
-// snapshot + WAL); submitPair acknowledges only after its WAL record is
-// durable; and the batch server's deferred write-throughs survive a
-// restart.
+// the WAL alone); submitPair acknowledges only after its WAL record is
+// durable; a damaged checkpoint loses no journal entry; and the batch
+// server's deferred write-throughs survive a restart.
 //
 //===----------------------------------------------------------------------===//
 
@@ -15,6 +15,7 @@
 #include "services/batchserver.h"
 #include "store/chainstore.h"
 #include "store/faultvfs.h"
+#include "support/serialize.h"
 #include "typecoin/node.h"
 #include "typecoin/persist.h"
 
@@ -224,6 +225,78 @@ TEST_F(StoreNode, DigestMismatchFallsBackToFullValidation) {
   EXPECT_EQ(Twin.chain().tipHash().toHex(), Tip);
   EXPECT_EQ(Twin.state().fingerprint(), Fp);
   EXPECT_TRUE(Twin.isRegistered(K));
+}
+
+TEST_F(StoreNode, CorruptSnapshotAfterSeveralFlushesLosesNoJournalEntry) {
+  store::MemVfs Mem;
+  ASSERT_TRUE(Node.openStore(Mem, "store", /*EpochInterval=*/2).hasValue());
+  std::vector<std::string> Keys;
+  for (const char *Name : {"one", "two", "three", "four"})
+    Keys.push_back(grantAndConfirm(Name));
+  Clock += 600;
+  ASSERT_TRUE(Node.mineBlock(crypto::KeyId{}, Clock).hasValue());
+  ASSERT_TRUE(Node.flushStoreEpoch());
+  ASSERT_GE(Node.store()->epochNumber(), 3u);
+
+  // Bit-rot in the checkpoint: its CRC no longer matches, so recovery
+  // falls back to from-genesis validation.
+  std::string Snap = std::string("store/") + store::ChainStore::EpochFile;
+  auto Raw = store::readFileAll(Mem, Snap);
+  ASSERT_TRUE(Raw.hasValue());
+  Raw->back() ^= 0x01;
+  ASSERT_TRUE(store::writeFileAtomic(Mem, Snap, *Raw));
+
+  Mem.crash();
+  tc::Node Twin;
+  auto R = Twin.openStore(Mem, "store", 2);
+  ASSERT_TRUE(R.hasValue()) << R.error().message();
+  EXPECT_TRUE(R->FromDisk);
+  EXPECT_TRUE(Twin.store()->openStats().EpochCorrupt);
+  EXPECT_EQ(R->Epoch, 0u);
+  // Every pair journaled before the earlier flushes is still there.
+  EXPECT_EQ(R->JournalRestored, Keys.size());
+  EXPECT_EQ(Twin.journal().size(), Node.journal().size());
+  EXPECT_EQ(Twin.chain().tipHash().toHex(), Node.chain().tipHash().toHex());
+  EXPECT_EQ(Twin.state().fingerprint(), Node.state().fingerprint());
+  for (const std::string &K : Keys)
+    EXPECT_TRUE(Twin.isRegistered(K));
+}
+
+TEST_F(StoreNode, OldLayoutSnapshotIsRefusedWithAnError) {
+  store::MemVfs Mem;
+  ASSERT_TRUE(Node.openStore(Mem, "store", 100).hasValue());
+  grantAndConfirm("legacy");
+  ASSERT_TRUE(Node.flushStoreEpoch());
+
+  // Rewrite the checkpoint in the earlier layout, which carried the
+  // journal, the deferred set and a UTXO image after it.
+  std::string Snap = std::string("store/") + store::ChainStore::EpochFile;
+  auto Raw = store::readFileAll(Mem, Snap);
+  ASSERT_TRUE(Raw.hasValue());
+  store::LogScan Scan = store::scanRecords(*Raw);
+  ASSERT_EQ(Scan.Records.size(), 1u);
+  Writer W;
+  W.writeBytes(Scan.Records[0].data(), Scan.Records[0].size());
+  W.writeCompactSize(Node.journal().size());
+  for (const auto &[Key, P] : Node.journal()) {
+    W.writeString(Key);
+    W.writeVarBytes(tc::serializePair(P));
+  }
+  W.writeCompactSize(0);
+  W.writeVarBytes(Bytes());
+  ASSERT_TRUE(store::writeFileAtomic(
+      Mem, Snap, *store::frameRecord(W.takeBuffer())));
+
+  obs::Counter &Corrupt = obs::counter("store.recover.epoch_corrupt");
+  uint64_t CorruptBefore = Corrupt.value();
+  tc::Node Twin;
+  auto R = Twin.openStore(Mem, "store", 100);
+  ASSERT_FALSE(R.hasValue());
+  EXPECT_NE(R.error().message().find("earlier layout"), std::string::npos)
+      << R.error().message();
+  // Refused, not mistaken for bit-rot.
+  EXPECT_EQ(Corrupt.value(), CorruptBefore);
+  EXPECT_EQ(Twin.store(), nullptr);
 }
 
 TEST_F(StoreNode, OpenStoreFromEnvHonorsTheKnobs) {

@@ -490,6 +490,10 @@ void lintStore(const std::string &Dir, Session &S) {
       R.error("store-epoch-corrupt",
               "epoch snapshot does not decode; recovery falls back to "
               "from-genesis replay");
+    else if (Inspect->EpochOldLayout)
+      R.error("store-epoch-old-layout",
+              "epoch snapshot is in the earlier layout that carries the "
+              "pair journal; recovery refuses the store");
     else if (!S.Cli.Quiet && !S.Cli.Json)
       std::cout << Dir << ": last durable epoch " << Inspect->EpochNumber
                 << " (tip height " << Inspect->TipHeight << ", "
