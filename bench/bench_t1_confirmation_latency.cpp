@@ -7,16 +7,19 @@
 // an access permission."
 //
 // This harness simulates Poisson block arrivals and reports the time to
-// k confirmations for k = 1..6, then benchmarks the simulator itself.
+// k confirmations for k = 1..6, then benchmarks that simulator and one
+// block's relay across a fully-meshed net::Cluster (the real wire
+// protocol over the in-process loopback transport).
 //
 //===----------------------------------------------------------------------===//
 
 #include "bitcoin/netsim.h"
-#include "bitcoin/network.h"
+#include "net/cluster.h"
 
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
+#include <memory>
 
 using namespace typecoin;
 using namespace typecoin::bitcoin;
@@ -69,21 +72,28 @@ BENCHMARK(BM_SimulateConfirmations)->Arg(100)->Arg(1000)->Arg(10000);
 
 void BM_NetworkBlockPropagation(benchmark::State &State) {
   // Message-level relay: one mined block reaching N fully-meshed nodes.
+  // Building the cluster and its handshakes is not timed.
   size_t N = static_cast<size_t>(State.range(0));
   ChainParams Params;
   Params.CoinbaseMaturity = 1;
+  net::NetConfig Cfg;
+  Cfg.Timers.PingIntervalSec = 1e9; // Time the block's relay, not pings.
   Rng Rand(Seed);
   crypto::KeyId Miner = crypto::PrivateKey::generate(Rand).id();
   double Clock = 600;
+  std::unique_ptr<net::Cluster> Net;
   for (auto _ : State) {
     State.PauseTiming();
-    LocalNetwork Net(Params, N);
+    Net.reset();
+    Net = std::make_unique<net::Cluster>(Params, N, 0, Cfg);
     State.ResumeTiming();
-    auto B = Net.mineAt(0, Miner, Clock);
+    auto B = Net->mineAt(0, Miner, Clock);
     benchmark::DoNotOptimize(B);
-    size_t Msgs = Net.run();
-    benchmark::DoNotOptimize(Msgs);
+    size_t Rounds = Net->settle();
+    benchmark::DoNotOptimize(Rounds);
   }
+  if (Net && !(Net->converged() && Net->chain(N - 1).height() == 1))
+    State.SkipWithError("block did not reach every node");
   State.SetItemsProcessed(State.iterations() * static_cast<int64_t>(N));
 }
 BENCHMARK(BM_NetworkBlockPropagation)->Arg(4)->Arg(16)->Unit(benchmark::kMillisecond);

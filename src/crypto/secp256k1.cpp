@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdlib>
 
 namespace typecoin {
 namespace crypto {
@@ -95,13 +94,7 @@ static unsigned windowAt(const U256 &K, unsigned Off, unsigned W) {
   return static_cast<unsigned>(V & ((1ull << W) - 1));
 }
 
-static unsigned combWindowFromEnv() {
-  const char *Env = std::getenv("TYPECOIN_ECMULT_WINDOW");
-  long W = Env ? std::atol(Env) : 4;
-  return static_cast<unsigned>(std::clamp(W, 0l, 8l));
-}
-
-Secp256k1::Secp256k1(int CombWindowOverride)
+Secp256k1::Secp256k1(unsigned CombWindow)
     : Fp(mustHex(PHex)),
       Fn(mustHex(
           "fffffffffffffffffffffffffffffffebaaedce6af48a03bbfd25e8cd0364141")),
@@ -118,9 +111,7 @@ Secp256k1::Secp256k1(int CombWindowOverride)
   SplitG2 = mustHex(SplitG2Hex);
   MinusB1 = mustHex(MinusB1Hex);
   MinusB2 = mustHex(MinusB2Hex);
-  CombW = CombWindowOverride < 0
-              ? combWindowFromEnv()
-              : static_cast<unsigned>(std::min(CombWindowOverride, 8));
+  CombW = std::min(CombWindow, 8u);
   buildTables();
 }
 

@@ -13,8 +13,8 @@
 /// Scalar multiplication is table-driven (ROADMAP item 4c):
 ///
 ///  * `multiplyBase` walks a fixed-base comb table (one mixed addition per
-///    window, zero doublings), built once at startup; window width comes
-///    from `TYPECOIN_ECMULT_WINDOW` (default 4, 0 disables the table).
+///    window, zero doublings), built once at startup with a 4-bit
+///    window (\ref DefaultCombWindow).
 ///  * `multiply` uses width-5 wNAF over on-the-fly odd multiples of P.
 ///  * `doubleMultiply` — the exact shape `ecdsaVerify` computes — is an
 ///    interleaved Straus/Shamir ladder mixing width-8 wNAF over a
@@ -74,12 +74,15 @@ struct AffinePoint {
 /// serialization. A process-wide singleton is available via \ref instance.
 class Secp256k1 {
 public:
-  /// \p CombWindowOverride selects the fixed-base comb window width in
-  /// bits; -1 reads `TYPECOIN_ECMULT_WINDOW` (default 4), 0 disables the
-  /// comb so `multiplyBase` falls back to wNAF over the odd-G table.
-  /// Values are clamped to [0, 8]. Tests construct private instances to
-  /// sweep window widths; production code uses \ref instance.
-  explicit Secp256k1(int CombWindowOverride = -1);
+  /// The fixed-base comb window width \ref instance uses, in bits.
+  static constexpr unsigned DefaultCombWindow = 4;
+
+  /// \p CombWindow selects the fixed-base comb window width in bits; 0
+  /// disables the comb so `multiplyBase` falls back to wNAF over the
+  /// odd-G table. Values above 8 are clamped to 8. Tests construct
+  /// private instances to sweep window widths against the naive ladder;
+  /// production code uses \ref instance.
+  explicit Secp256k1(unsigned CombWindow = DefaultCombWindow);
 
   /// The curve's field arithmetic (mod p).
   const ModArith &field() const { return Fp; }

@@ -71,6 +71,8 @@ struct NetMetrics {
   obs::Counter &Penalized = obs::counter("net.ban.penalized");
   obs::Counter &OrphanAdded = obs::counter("net.orphan.added");
   obs::Counter &OrphanEvicted = obs::counter("net.orphan.evicted");
+  obs::Counter &Crashes = obs::counter("net.crash.count");
+  obs::Counter &Restarts = obs::counter("net.restart.count");
 
   static NetMetrics &get() {
     static NetMetrics M;
@@ -523,6 +525,7 @@ void NetNode::peerLoop(std::shared_ptr<Peer> P) {
 
 void NetNode::crash() {
   std::lock_guard<std::mutex> Lock(NodeMu);
+  NetMetrics::get().Crashes.inc();
   Crashed = true;
   for (const auto &E : Peers)
     disconnectLocked(*E.second, "crash");
@@ -540,6 +543,7 @@ Status NetNode::restart() {
     return Status::success();
   TC_TRY(Tc->recover());
   Crashed = false;
+  NetMetrics::get().Restarts.inc();
   return Status::success();
 }
 
@@ -819,7 +823,8 @@ void NetNode::handleBlock(Peer &P, const BlockMsg &M) {
 void NetNode::handleCmpctBlock(Peer &P, const CmpctBlockMsg &M) {
   NetMetrics &Met = NetMetrics::get();
   bitcoin::BlockHash H = M.Header.hash();
-  P.Known.insert(invBlock(H));
+  if (!P.Known.insert(invBlock(H)))
+    Met.InvDup.inc(); // Duplicate announcement on this link.
   if (Tc->chain().blockByHash(H))
     return;
   size_t Total = M.ShortIds.size() + M.Prefilled.size();

@@ -185,7 +185,6 @@ Status ChainStore::appendBlock(const std::string &HashHex,
     KnownBlocks.erase(HashHex);
     return W;
   }
-  BlockRecs.emplace_back(HashHex, BlockBytes);
   ++DirtyBlocks;
   return Status::success();
 }

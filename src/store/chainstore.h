@@ -104,7 +104,9 @@ public:
   const OpenStats &openStats() const { return Stats; }
   /// The decoded snapshot, when one was durable.
   const EpochData *epoch() const { return HasEpoch ? &Snap : nullptr; }
-  /// Block records in append order: (blockHashHex, raw block bytes).
+  /// The block records found at open, in append order: (blockHashHex,
+  /// raw block bytes). Blocks appended since are not kept in memory:
+  /// the log is their only copy.
   const std::vector<std::pair<std::string, Bytes>> &blockRecords() const {
     return BlockRecs;
   }

@@ -8,13 +8,15 @@
 // the honest nodes must agree on one tip, every chain must pass the
 // ledger audit, the Typecoin replay of every honest chain must agree
 // entry-for-entry, and every well-typed pair must be registered exactly
-// once (resubmission closing any delivery gaps).
+// once (resubmission closing any delivery gaps). The network is a
+// pumped net::Cluster, so every fault lands on the real wire protocol.
 //
 //===----------------------------------------------------------------------===//
 
 #include "chaosutil.h"
 
 #include "analysis/audit.h"
+#include "net/cluster.h"
 
 using namespace typecoin;
 using namespace typecoin::chaosutil;
@@ -22,18 +24,18 @@ using namespace typecoin::chaosutil;
 namespace {
 
 void runSoak(uint64_t Seed) {
-  bitcoin::FaultPlan Plan;
+  net::FaultPlan Plan;
   Plan.Drop = 0.05;
   Plan.Duplicate = 0.10;
   Plan.JitterSeconds = 30;
-  bitcoin::ByzantinePlan Byz;
+  net::ByzantinePlan Byz;
   Byz.InvalidBlock = 0.3;
   Byz.MalleateRelay = 0.5;
   announce("soak", Seed,
            Plan.describe() + "; byzantine(3) " + Byz.describe() +
                "; crash(2)");
 
-  bitcoin::LocalNetwork Net(testParams(), 4, 2.0, Seed);
+  net::Cluster Net(testParams(), 4, Seed, quietTimers());
   Net.setDefaultFault(Plan);
   Net.setByzantine(3, Byz);
   const std::vector<size_t> Honest = {0, 1, 2};
@@ -45,7 +47,7 @@ void runSoak(uint64_t Seed) {
     Clock += 600;
     auto B = Net.mineAt(NodeIdx, Payout.id(), Clock);
     ASSERT_TRUE(B.hasValue()) << B.error().message();
-    Net.runUntil(Clock + 120);
+    Net.settle();
   };
 
   // Funding: one coinbase per pair, all mined at node 0, plus one block
@@ -59,7 +61,7 @@ void runSoak(uint64_t Seed) {
     Clock += 600;
     auto B = Net.mineAt(0, Actors[static_cast<size_t>(I)].id(), Clock);
     ASSERT_TRUE(B.hasValue()) << B.error().message();
-    Net.runUntil(Clock + 120);
+    Net.settle();
   }
   MineAt(0);
 
@@ -74,7 +76,7 @@ void runSoak(uint64_t Seed) {
                             Net.chain(0));
     ASSERT_TRUE(P.hasValue()) << P.error().message();
     Journal[tc::payloadKey(*P)] = *P;
-    ASSERT_TRUE(Net.submitTransaction(0, P->Btc, Clock).hasValue());
+    ASSERT_TRUE(Net.submitTransaction(0, P->Btc).hasValue());
     MineAt(0);
 
     if (I == 0) {
@@ -83,20 +85,20 @@ void runSoak(uint64_t Seed) {
     }
     MineAt(static_cast<size_t>(I) % 2 == 0 ? 1 : 3);
     if (I == 1) {
-      ASSERT_TRUE(Net.restart(2, Clock).hasValue());
+      ASSERT_TRUE(Net.restart(2).hasValue());
     }
   }
 
   // Quiesce: stop the chaos, bring everyone back, reconcile.
   Net.clearFaults();
   if (Net.isCrashed(2)) {
-    ASSERT_TRUE(Net.restart(2, Clock).hasValue());
+    ASSERT_TRUE(Net.restart(2).hasValue());
   }
-  Net.heal(Clock);
-  Net.run();
+  Net.heal();
+  Net.settle();
   MineAt(0);
   MineAt(0); // Bury the last carriers past registration depth.
-  Net.run();
+  Net.settle();
 
   // Delivery gaps (dropped or out-raced carriers) are closed by
   // resubmission — the same loop tc::Node::tick automates.
@@ -108,15 +110,15 @@ void runSoak(uint64_t Seed) {
     for (const auto &[Payload, P] : Journal) {
       if (Replayed->Registered.count(Payload))
         continue;
-      (void)Net.submitTransaction(0, P.Btc, Clock); // May already be in.
+      (void)Net.submitTransaction(0, P.Btc); // May already be in.
     }
     MineAt(0);
     MineAt(0);
-    Net.heal(Clock); // Re-announce full chains: orphaned stragglers heal.
-    Net.run();
+    Net.heal(); // Re-sync every node: orphaned stragglers heal.
+    Net.settle();
   }
-  Net.heal(Clock);
-  Net.run();
+  Net.heal();
+  Net.settle();
 
   // 1. Honest tip agreement.
   EXPECT_TRUE(Net.convergedAmong(Honest)) << "seed " << Seed;

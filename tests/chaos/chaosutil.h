@@ -10,8 +10,10 @@
 #ifndef TYPECOIN_TESTS_CHAOS_CHAOSUTIL_H
 #define TYPECOIN_TESTS_CHAOS_CHAOSUTIL_H
 
-#include "bitcoin/network.h"
+#include "bitcoin/miner.h"
+#include "net/node.h"
 #include "support/replay.h"
+#include "support/rng.h"
 #include "typecoin/builder.h"
 
 #include <gtest/gtest.h>
@@ -28,6 +30,18 @@ inline bitcoin::ChainParams testParams() {
 inline crypto::PrivateKey keyFromSeed(uint64_t Seed) {
   Rng Rand(Seed);
   return crypto::PrivateKey::generate(Rand);
+}
+
+/// Chaos runs over net::Cluster disable pings, the handshake timeout
+/// and the download-stall cutoff: heavy jitter plans and long virtual
+/// clock jumps would otherwise trip liveness timeouts that these
+/// scenarios are not about.
+inline net::NetConfig quietTimers() {
+  net::NetConfig Cfg;
+  Cfg.Timers.PingIntervalSec = 1e9;
+  Cfg.Timers.HandshakeTimeoutSec = 1e9;
+  Cfg.Timers.StallTimeoutSec = 1e9;
+  return Cfg;
 }
 
 /// Mine a block on an explicit parent hash (side branches for reorgs).

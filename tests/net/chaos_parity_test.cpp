@@ -1,9 +1,8 @@
 //===- tests/net/chaos_parity_test.cpp - Chaos suite over the real stack --===//
 //
-// The discrete-event simulator's chaos scenarios replayed over the real
-// message-passing runtime: the same FaultPlan / ByzantinePlan semantics
-// re-expressed as a fault-injecting Transport must yield the same
-// outcomes — deterministic replay under a fixed seed, convergence after
+// The fault-injection scenarios over the real message-passing runtime,
+// with FaultPlan / ByzantinePlan applied by a fault-injecting
+// Transport: deterministic replay under a fixed seed, convergence after
 // lossy links heal, idempotent duplicate delivery, reordering absorbed
 // by the orphan pool, invalid-block relayers banned, and crash/restart
 // recovering the chain while losing the mempool.
@@ -24,17 +23,6 @@ using namespace typecoin::chaosutil;
 
 namespace {
 
-/// The simulator has no liveness timers, so parity runs disable pings
-/// and the download-stall cutoff: heavy jitter plans would otherwise
-/// trip timeouts that LocalNetwork scenarios cannot express.
-NetConfig quietTimers() {
-  NetConfig Cfg;
-  Cfg.Timers.PingIntervalSec = 1e9;
-  Cfg.Timers.HandshakeTimeoutSec = 1e9;
-  Cfg.Timers.StallTimeoutSec = 1e9;
-  return Cfg;
-}
-
 /// One run of the fixed mining schedule under \p Plan: final tip of
 /// every node plus node 0's Typecoin state fingerprint.
 struct Outcome {
@@ -46,7 +34,7 @@ struct Outcome {
   }
 };
 
-Outcome runScenario(uint64_t Seed, const bitcoin::FaultPlan &Plan) {
+Outcome runScenario(uint64_t Seed, const FaultPlan &Plan) {
   Cluster C(testParams(), 4, Seed, quietTimers());
   C.setDefaultFault(Plan);
   auto Miner = keyFromSeed(11);
@@ -65,7 +53,7 @@ Outcome runScenario(uint64_t Seed, const bitcoin::FaultPlan &Plan) {
 }
 
 TEST(NetChaosParity, SameSeedSameOutcome) {
-  bitcoin::FaultPlan Plan;
+  FaultPlan Plan;
   Plan.Drop = 0.2;
   Plan.Duplicate = 0.2;
   Plan.JitterSeconds = 900;
@@ -81,7 +69,7 @@ TEST(NetChaosParity, SameSeedSameOutcome) {
 
 TEST(NetChaosParity, LossyLinksConvergeAfterHeal) {
   Cluster C(testParams(), 4, 5, quietTimers());
-  bitcoin::FaultPlan Lossy;
+  FaultPlan Lossy;
   Lossy.Drop = 0.4;
   announce("net-lossy-links", 5, Lossy.describe());
   C.setDefaultFault(Lossy);
@@ -105,9 +93,10 @@ TEST(NetChaosParity, LossyLinksConvergeAfterHeal) {
 
 TEST(NetChaosParity, DuplicatedDeliveryIsIdempotent) {
   Cluster C(testParams(), 3, 6, quietTimers());
-  bitcoin::FaultPlan Dup;
+  FaultPlan Dup;
   Dup.Duplicate = 1.0; // Every frame delivered twice.
   C.setDefaultFault(Dup);
+  auto Snap0 = obs::Registry::instance().snapshot();
   auto Miner = keyFromSeed(13);
   double Clock = 0;
   for (int I = 0; I < 5; ++I) {
@@ -124,11 +113,15 @@ TEST(NetChaosParity, DuplicatedDeliveryIsIdempotent) {
       EXPECT_EQ(C.node(I).banScore(Cluster::addressOf(J)), 0)
           << I << " vs " << J;
   }
+  // The second copy of each announcement is counted as a duplicate
+  // rather than silently reprocessed.
+  auto Snap1 = obs::Registry::instance().snapshot();
+  EXPECT_GE(Snap1.counter("net.inv.dup") - Snap0.counter("net.inv.dup"), 2u);
 }
 
 TEST(NetChaosParity, JitterReordersThroughOrphanPool) {
   Cluster C(testParams(), 3, 7, quietTimers());
-  bitcoin::FaultPlan Jitter;
+  FaultPlan Jitter;
   Jitter.JitterSeconds = 5000; // Far larger than the mining cadence:
                                // children routinely land first.
   C.setDefaultFault(Jitter);
@@ -152,16 +145,15 @@ TEST(NetChaosParity, OrphanPoolIsBoundedWithOldestFirstEviction) {
   auto Miner = keyFromSeed(15);
 
   // Lose the first block towards node 1, and silence node 1's return
-  // path so its orphan-triggered GetHeaders recovery cannot kick in —
-  // the runtime is better at self-healing than the simulator, and this
-  // scenario is about the pool's bound, not recovery.
-  bitcoin::FaultPlan DropAll;
+  // path so its orphan-triggered GetHeaders recovery cannot kick in:
+  // this scenario is about the pool's bound, not recovery.
+  FaultPlan DropAll;
   DropAll.Drop = 1.0;
   C.setLinkFault(0, 1, DropAll);
   C.setLinkFault(1, 0, DropAll);
   ASSERT_TRUE(C.mineAt(0, Miner.id(), 600).hasValue());
   C.settle();
-  C.setLinkFault(0, 1, bitcoin::FaultPlan());
+  C.setLinkFault(0, 1, FaultPlan());
 
   auto Snap0 = obs::Registry::instance().snapshot();
   for (int I = 0; I < 3; ++I)
@@ -185,12 +177,12 @@ TEST(NetChaosParity, OrphanPoolIsBoundedWithOldestFirstEviction) {
 
 TEST(NetChaosParity, InvalidBlockRelayGetsPeerBanned) {
   // Full-block relay only: the byzantine wrapper corrupts Block frames
-  // in flight, mirroring the simulator's InvalidBlock plan.
+  // in flight (ByzantinePlan::InvalidBlock).
   NetConfig Base = quietTimers();
   Base.CompactRelay = false;
   Base.Services = 0;
   Cluster C(testParams(), 3, 9, Base);
-  bitcoin::ByzantinePlan Byz;
+  ByzantinePlan Byz;
   Byz.InvalidBlock = 1.0;
   announce("net-byzantine-invalid-block", 9, Byz.describe());
   C.setByzantine(2, Byz);
@@ -247,7 +239,7 @@ TEST(NetChaosParity, CrashLosesMempoolRestartRecoversChain) {
   }
   // Keep the transaction local to node 1 so the crash genuinely loses
   // it.
-  bitcoin::FaultPlan DropAll;
+  FaultPlan DropAll;
   DropAll.Drop = 1.0;
   C.setDefaultFault(DropAll);
   ASSERT_TRUE(C.submitTransaction(1, Spend).hasValue());
@@ -256,6 +248,7 @@ TEST(NetChaosParity, CrashLosesMempoolRestartRecoversChain) {
   C.settle();
   EXPECT_EQ(C.mempool(1).size(), 1u);
 
+  auto Snap0 = obs::Registry::instance().snapshot();
   C.crash(1);
   EXPECT_TRUE(C.isCrashed(1));
   // Traffic to a crashed node goes nowhere; the rest keeps mining.
@@ -265,6 +258,13 @@ TEST(NetChaosParity, CrashLosesMempoolRestartRecoversChain) {
 
   ASSERT_TRUE(C.restart(1).hasValue());
   C.settle();
+  auto Snap1 = obs::Registry::instance().snapshot();
+  EXPECT_EQ(Snap1.counter("net.crash.count") -
+                Snap0.counter("net.crash.count"),
+            1u);
+  EXPECT_EQ(Snap1.counter("net.restart.count") -
+                Snap0.counter("net.restart.count"),
+            1u);
   // The mempool is gone (it was volatile); the chain is rebuilt from
   // the persisted blocks and caught up headers-first on reconnect.
   EXPECT_EQ(C.mempool(1).size(), 0u);

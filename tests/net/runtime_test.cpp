@@ -79,7 +79,7 @@ TEST(NetRuntime, PingKeepsQuietLinksAliveAndTimesOutDeadOnes) {
 
   // Now all frames vanish: the next ping goes unanswered and the link
   // is torn down after the ping timeout.
-  bitcoin::FaultPlan Blackhole;
+  FaultPlan Blackhole;
   Blackhole.Drop = 1.0;
   C.setDefaultFault(Blackhole);
   C.advance(61);
@@ -231,7 +231,7 @@ TEST(NetRuntime, CrashDropsVolatileStateRestartRecovers) {
   C.settle();
 
   // A mempool entry kept local to node 1 (faults eat the gossip).
-  bitcoin::FaultPlan DropAll;
+  FaultPlan DropAll;
   DropAll.Drop = 1.0;
   C.setDefaultFault(DropAll);
   bitcoin::Transaction Tx =

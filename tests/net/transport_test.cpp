@@ -1,13 +1,17 @@
 //===- tests/net/transport_test.cpp - Loopback + chaos transports ---------===//
 //
 // The transport seam: loopback connect/accept, FIFO frame delivery,
-// close semantics, and the chaos wrapper's deterministic drop /
-// duplicate / jitter / partition behaviour over it.
+// close semantics, the chaos wrapper's deterministic drop / duplicate /
+// jitter / partition behaviour over it, and the signature-malleation
+// primitive its byzantine relay uses.
 //
 //===----------------------------------------------------------------------===//
 
 #include "net/fault.h"
 #include "net/transport.h"
+
+#include "bitcoin/standard.h"
+#include "support/rng.h"
 
 #include <gtest/gtest.h>
 
@@ -103,7 +107,7 @@ TEST(NetTransport, DestroyEndpointWithPendingInboundDialDoesNotDeadlock) {
 }
 
 /// Deliver N frames over a chaos link; return which arrived (by tag).
-std::vector<uint8_t> chaosDeliver(uint64_t Seed, const bitcoin::FaultPlan &Plan,
+std::vector<uint8_t> chaosDeliver(uint64_t Seed, const FaultPlan &Plan,
                                   int N) {
   LoopbackHub Hub;
   auto Clk = std::make_shared<VirtualClock>();
@@ -131,7 +135,7 @@ std::vector<uint8_t> chaosDeliver(uint64_t Seed, const bitcoin::FaultPlan &Plan,
 }
 
 TEST(NetTransport, ChaosDropIsDeterministicPerSeed) {
-  bitcoin::FaultPlan Plan;
+  FaultPlan Plan;
   Plan.Drop = 0.4;
   auto A = chaosDeliver(42, Plan, 50);
   auto B = chaosDeliver(42, Plan, 50);
@@ -142,7 +146,7 @@ TEST(NetTransport, ChaosDropIsDeterministicPerSeed) {
 }
 
 TEST(NetTransport, ChaosDuplicateDeliversTwice) {
-  bitcoin::FaultPlan Plan;
+  FaultPlan Plan;
   Plan.Duplicate = 1.0;
   auto Got = chaosDeliver(1, Plan, 5);
   EXPECT_EQ(Got.size(), 10u);
@@ -153,7 +157,7 @@ TEST(NetTransport, ChaosDuplicateDeliversTwice) {
 }
 
 TEST(NetTransport, ChaosJitterReordersButLosesNothing) {
-  bitcoin::FaultPlan Plan;
+  FaultPlan Plan;
   Plan.JitterSeconds = 100.0;
   auto Got = chaosDeliver(7, Plan, 30);
   ASSERT_EQ(Got.size(), 30u);
@@ -183,6 +187,32 @@ TEST(NetTransport, PartitionCutsLinksThenHeals) {
   auto F = B->receive();
   ASSERT_TRUE(F);
   EXPECT_EQ((*F)[0], 2); // Post-heal traffic flows (1 is gone forever).
+}
+
+TEST(NetFault, MalleatedSignatureStillVerifiesUnderNewTxid) {
+  // The primitive behind ByzantinePlan::MalleateRelay, after
+  // Andrychowicz et al., "How to deal with malleability of BitCoin
+  // transactions": flipping s -> n - s preserves ECDSA validity but
+  // changes the serialized transaction, hence its txid.
+  Rng Rand(18);
+  auto Key = crypto::PrivateKey::generate(Rand);
+  bitcoin::Script Lock = bitcoin::makeP2PKH(Key.id());
+
+  bitcoin::Transaction Tx;
+  Tx.Inputs.push_back(bitcoin::TxIn{});
+  Tx.Inputs[0].Prevout.Tx.Hash[0] = 1;
+  Tx.Outputs.push_back(bitcoin::TxOut{5000, bitcoin::makeP2PKH(Key.id())});
+  auto Sig = bitcoin::signInput(Tx, 0, Lock, {Key});
+  ASSERT_TRUE(Sig.hasValue());
+  Tx.Inputs[0].ScriptSig = *Sig;
+
+  auto Twin = malleateTxSignatures(Tx);
+  ASSERT_TRUE(Twin.has_value());
+  EXPECT_FALSE(Twin->txid() == Tx.txid());
+
+  bitcoin::TransactionSignatureChecker Checker(*Twin, 0, Lock);
+  EXPECT_TRUE(bitcoin::verifyScript(Twin->Inputs[0].ScriptSig, Lock, Checker)
+                  .hasValue());
 }
 
 } // namespace

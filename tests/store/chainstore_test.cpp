@@ -91,13 +91,41 @@ TEST(ChainStore, FreshStoreIsEmpty) {
 
 TEST(ChainStore, AppendBlockDeduplicatesByHash) {
   MemVfs V;
+  {
+    auto S = openOrDie(V, "cs");
+    ASSERT_NE(S, nullptr);
+    ASSERT_TRUE(S->appendBlock("h1", bytesOf("block-one")));
+    ASSERT_TRUE(S->appendBlock("h1", bytesOf("block-one")));
+    ASSERT_TRUE(S->appendBlock("h2", bytesOf("block-two")));
+    EXPECT_EQ(S->dirtyBlocks(), 2u);
+  }
   auto S = openOrDie(V, "cs");
   ASSERT_NE(S, nullptr);
-  ASSERT_TRUE(S->appendBlock("h1", bytesOf("block-one")));
-  ASSERT_TRUE(S->appendBlock("h1", bytesOf("block-one")));
-  ASSERT_TRUE(S->appendBlock("h2", bytesOf("block-two")));
   EXPECT_EQ(S->blockRecords().size(), 2u);
-  EXPECT_EQ(S->dirtyBlocks(), 2u);
+}
+
+TEST(ChainStore, RuntimeBlockAppendsAreReadBackOnlyByAReopen) {
+  // blockRecords() is what open() found, like walRecords(): the store
+  // keeps no in-memory copy of the blocks it appends.
+  MemVfs V;
+  {
+    auto S = openOrDie(V, "cs");
+    ASSERT_NE(S, nullptr);
+    ASSERT_TRUE(S->appendBlock("h1", bytesOf("block-one")));
+  }
+  {
+    auto S = openOrDie(V, "cs");
+    ASSERT_NE(S, nullptr);
+    ASSERT_EQ(S->blockRecords().size(), 1u);
+    ASSERT_TRUE(S->appendBlock("h2", bytesOf("block-two")));
+    EXPECT_EQ(S->blockRecords().size(), 1u); // Unchanged by the append.
+  }
+  auto S = openOrDie(V, "cs");
+  ASSERT_NE(S, nullptr);
+  ASSERT_EQ(S->blockRecords().size(), 2u);
+  EXPECT_EQ(S->blockRecords()[0].first, "h1");
+  EXPECT_EQ(S->blockRecords()[1].first, "h2");
+  EXPECT_EQ(S->blockRecords()[1].second, bytesOf("block-two"));
 }
 
 TEST(ChainStore, WalAppendsAreDurableImmediately) {

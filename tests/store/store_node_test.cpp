@@ -63,7 +63,9 @@ TEST_F(StoreNode, BootstrapSeedsTheStoreFromMemory) {
   ASSERT_NE(Node.store(), nullptr);
   // The bootstrap flushed an epoch covering the whole pre-store chain.
   EXPECT_GE(Node.store()->epochNumber(), 1u);
-  EXPECT_EQ(Node.store()->blockRecords().size(),
+  auto Reopened = store::ChainStore::open(Mem, "store");
+  ASSERT_TRUE(Reopened.hasValue()) << Reopened.error().message();
+  EXPECT_EQ((*Reopened)->blockRecords().size(),
             static_cast<size_t>(Node.chain().height()));
 }
 
