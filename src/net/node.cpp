@@ -11,13 +11,7 @@
 namespace typecoin {
 namespace net {
 
-size_t netThreadsFromEnv() {
-  const char *V = std::getenv("TYPECOIN_NET_THREADS");
-  if (!V || !*V)
-    return 0;
-  long N = std::strtol(V, nullptr, 10);
-  return N < 0 ? 0 : static_cast<size_t>(N);
-}
+size_t netThreadsFromEnv() { return 1; }
 
 bool compactRelayFromEnv() {
   const char *V = std::getenv("TYPECOIN_COMPACT_RELAY");
@@ -103,6 +97,10 @@ bitcoin::TxId asTxId(const InvItem &It) {
   return T;
 }
 
+/// Longest the idle I/O thread parks before stepping again; bounds the
+/// latency of accepts and timers, which wake no connection.
+constexpr double IoParkSec = 0.005;
+
 } // namespace
 
 NetNode::NetNode(bitcoin::ChainParams Params, NetConfig CfgIn,
@@ -115,7 +113,7 @@ NetNode::NetNode(bitcoin::ChainParams Params, NetConfig CfgIn,
   if (!Cfg.CompactRelay)
     Cfg.Services &= ~ServiceCompactRelay;
   // Resubmissions from the backoff queue re-enter the gossip layer.
-  // tc::Node::tick only runs under NodeMu (see tick/pump), so the
+  // tc::Node::tick only runs under NodeMu (from pump), so the
   // locked announcement is sound here.
   Tc->setRelay([this](const tc::Pair &P) { announceTxLocked(P.Btc, nullptr); });
 }
@@ -203,15 +201,6 @@ std::shared_ptr<Peer> NetNode::addPeerLocked(std::shared_ptr<Connection> C,
   V.StartHeight = Tc->chain().height();
   V.UserAgent = Cfg.UserAgent;
   sendLocked(*P, V);
-
-  if (Running.load()) {
-    reapThreadsLocked(); // Free slots held by exited peer threads.
-    if (MaxThreads == 0 || PeerThreads < MaxThreads) {
-      P->Dedicated = true;
-      ++PeerThreads;
-      Threads.emplace_back(&NetNode::peerLoop, this, P);
-    }
-  }
   return P;
 }
 
@@ -412,113 +401,45 @@ void NetNode::timersLocked(double Now) {
   }
 }
 
-size_t NetNode::tick(double Now) {
+void NetNode::start() {
   std::lock_guard<std::mutex> Lock(NodeMu);
-  if (Crashed)
-    return 0;
-  timersLocked(Now);
-  return Tc->tick(Now);
-}
-
-void NetNode::start(size_t MaxThreadsIn) {
-  std::lock_guard<std::mutex> Lock(NodeMu);
-  if (Running.load())
+  if (Io.joinable())
     return;
-  MaxThreads = MaxThreadsIn;
   Running.store(true);
-  Threads.emplace_back(&NetNode::acceptorLoop, this);
-  for (const auto &E : Peers) {
-    if (E.second->St == Peer::State::Disconnected)
-      continue;
-    if (MaxThreads == 0 || PeerThreads < MaxThreads) {
-      E.second->Dedicated = true;
-      ++PeerThreads;
-      Threads.emplace_back(&NetNode::peerLoop, this, E.second);
-    }
-  }
+  Io = std::thread(&NetNode::ioLoop, this);
 }
 
 void NetNode::stop() {
-  std::vector<std::thread> Joinable;
+  std::thread T;
   {
     std::lock_guard<std::mutex> Lock(NodeMu);
-    if (!Running.load())
-      return;
     Running.store(false);
-    Joinable.swap(Threads);
-    PeerThreads = 0;
-    for (const auto &E : Peers)
-      E.second->Dedicated = false;
+    T.swap(Io);
   }
-  for (std::thread &T : Joinable)
+  if (T.joinable())
     T.join();
-  std::lock_guard<std::mutex> Lock(NodeMu);
-  ExitedThreads.clear(); // All of them are joined now.
 }
 
-void NetNode::reapThreadsLocked() {
-  // Exiting peer threads park their id here as their last locked
-  // action; by the time anyone else holds NodeMu and reads it, the
-  // corresponding join can only block momentarily.
-  for (std::thread::id Id : ExitedThreads) {
-    for (auto It = Threads.begin(); It != Threads.end(); ++It) {
-      if (It->get_id() == Id) {
-        It->join();
-        Threads.erase(It);
-        break;
-      }
-    }
-  }
-  ExitedThreads.clear();
-}
-
-void NetNode::acceptorLoop() {
+void NetNode::ioLoop() {
   while (Running.load()) {
+    if (pump() > 0)
+      continue;
+    // Idle: park on one live connection. The loopback hub shares one
+    // condition variable, so a frame on any link wakes the wait.
+    std::shared_ptr<Connection> Wake;
     {
       std::lock_guard<std::mutex> Lock(NodeMu);
-      reapThreadsLocked();
-      if (!Crashed) {
-        acceptPendingLocked();
-        // Serve peers without a dedicated thread, round-robin.
-        std::vector<std::shared_ptr<Peer>> Ps;
-        for (const auto &E : Peers)
-          if (!E.second->Dedicated)
-            Ps.push_back(E.second);
-        for (const auto &P : Ps)
-          drainPeerLocked(P);
-        timersLocked(Clk->now());
-        Tc->tick(Clk->now());
-        reapLocked();
-      }
+      for (const auto &E : Peers)
+        if (E.second->St != Peer::State::Disconnected) {
+          Wake = E.second->Conn;
+          break;
+        }
     }
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    if (Wake)
+      Wake->waitReadable(IoParkSec);
+    else
+      std::this_thread::sleep_for(std::chrono::duration<double>(IoParkSec));
   }
-}
-
-void NetNode::peerLoop(std::shared_ptr<Peer> P) {
-  // Peer state (St, Dedicated) is only ever read or written under
-  // NodeMu; the Connection itself is internally synchronized, so the
-  // waitReadable block happens lock-free.
-  bool Gone = false;
-  while (Running.load() && !Gone) {
-    {
-      std::lock_guard<std::mutex> Lock(NodeMu);
-      if (P->St != Peer::State::Disconnected)
-        drainPeerLocked(P); // Disconnects on a closed pipe itself.
-      Gone = P->St == Peer::State::Disconnected;
-    }
-    if (!Gone)
-      P->Conn->waitReadable(0.05);
-  }
-  // Hand the thread slot back so churned peers do not pin capacity;
-  // the acceptor (or the next addPeer) joins the exited handle.
-  std::lock_guard<std::mutex> Lock(NodeMu);
-  if (P->Dedicated) {
-    P->Dedicated = false;
-    if (PeerThreads > 0)
-      --PeerThreads;
-  }
-  ExitedThreads.push_back(std::this_thread::get_id());
 }
 
 // --- Crash / restart ----------------------------------------------------

@@ -16,18 +16,14 @@
 /// reconstructed from the mempool, GetBlockTxn/BlockTxn fallback for
 /// the misses, full-block re-request on reconstruction mismatch).
 ///
-/// Two execution modes share every message handler:
-///
-///  * **Threaded** (\ref start / \ref stop): an acceptor/timer thread
-///    plus one thread per peer, each blocking in
-///    Connection::waitReadable and draining frames into the handlers
-///    under the node's state lock. Liveness timers (handshake timeout,
-///    ping schedule) run on the acceptor thread's cadence.
-///  * **Pumped** (\ref pump): single-threaded and deterministic — one
-///    call accepts pending inbound connections, drains every peer in
-///    id order, and runs the timers once against the injected \ref
-///    Clock. The cluster harness (net/cluster.h) drives this mode with
-///    a VirtualClock for reproducible chaos runs.
+/// One state machine, two drivers. \ref pump runs one step: accept
+/// pending inbound connections, drain every peer in id order through
+/// the handlers, run the liveness timers and resubmission backoff
+/// against the injected \ref Clock, reap closed peers. Tests, the chaos
+/// suite and the cluster harness (net/cluster.h) call it directly,
+/// with a VirtualClock, for reproducible runs. \ref start hands the
+/// same step to one I/O thread that loops on it and parks in a peer's
+/// Connection::waitReadable whenever a step finds no work.
 ///
 /// Misbehaviour scoring: an invalid block or a poisoned frame stream
 /// costs 100 points and the ban threshold is 100, so one provably-bad
@@ -51,8 +47,7 @@
 namespace typecoin {
 namespace net {
 
-/// `$TYPECOIN_NET_THREADS`: cap on peer service threads in threaded
-/// mode (0 / unset = one thread per peer, uncapped).
+/// Threads a started NetNode runs: its one I/O thread. Always 1.
 size_t netThreadsFromEnv();
 /// `$TYPECOIN_COMPACT_RELAY`: "0" / "off" / "false" disables
 /// compact-block relay (full Inv/GetData/Block relay only); anything
@@ -112,9 +107,9 @@ public:
   const bitcoin::Blockchain &chain() const { return Tc->chain(); }
   const bitcoin::Mempool &mempool() const { return Tc->mempool(); }
 
-  /// Locked snapshots of the chain tip for polling while service
-  /// threads are running — the bare chain() reference is only safe
-  /// when no threads mutate the node (pumped mode, or after stop()).
+  /// Locked snapshots of the chain tip for polling while the I/O
+  /// thread runs — the bare chain() reference is only safe when nothing
+  /// else steps the node (before start(), or after stop()).
   int chainHeight() const;
   bitcoin::BlockHash chainTip() const;
 
@@ -146,26 +141,19 @@ public:
 
   // --- Execution --------------------------------------------------------
 
-  /// Deterministic single-threaded step: accept pending inbound
-  /// connections, drain every peer's frames through the handlers in
-  /// peer-id order, run liveness timers at Clk->now(). Returns the
-  /// number of frames processed (0 = quiescent).
+  /// One deterministic step: accept pending inbound connections, drain
+  /// every peer's frames through the handlers in peer-id order, run
+  /// liveness timers and tc::Node::tick at Clk->now(). Returns the work
+  /// done: frames, accepts and resubmissions (0 = quiescent).
   size_t pump();
 
-  /// Start threaded mode: an acceptor/timer thread plus per-peer
-  /// service threads (capped by \p MaxThreads; 0 = uncapped, one per
-  /// peer — peers beyond the cap are served round-robin by the
-  /// acceptor thread). Idempotent.
-  void start(size_t MaxThreads = 0);
-  /// Stop threads and join them. Connections stay open (stop is not
-  /// disconnect), so pump() keeps working afterwards.
+  /// Start the I/O thread: it runs pump() in a loop and, when a step
+  /// does no work, parks for at most 5 ms in one live peer's
+  /// waitReadable (or sleeps 5 ms with no peers). Idempotent.
+  void start();
+  /// Stop the I/O thread and join it. Connections stay open (stop is
+  /// not disconnect), so pump() keeps working and start() may follow.
   void stop();
-  bool running() const { return Running.load(); }
-
-  /// Drive resubmission backoff (tc::Node::tick) and announce whatever
-  /// it resubmits. Threaded mode calls this from the timer thread;
-  /// pumped mode from pump().
-  size_t tick(double Now);
 
   // --- Crash / restart --------------------------------------------------
 
@@ -239,11 +227,7 @@ private:
   void announceBlockLocked(const bitcoin::Block &B, Peer *Skip);
   CmpctBlockMsg buildCompactLocked(const bitcoin::Block &B);
 
-  void acceptorLoop();
-  void peerLoop(std::shared_ptr<Peer> P);
-  /// Join and drop the handles of peer threads that have exited, so a
-  /// churning peer set does not pin thread slots until stop().
-  void reapThreadsLocked();
+  void ioLoop();
 
   NetConfig Cfg;
   std::unique_ptr<Transport> Trans;
@@ -264,12 +248,7 @@ private:
   bool Crashed = false;
 
   std::atomic<bool> Running{false};
-  std::vector<std::thread> Threads;
-  /// Ids of peer threads that finished their loop and are ready to
-  /// join (the exiting thread cannot join itself).
-  std::vector<std::thread::id> ExitedThreads;
-  size_t MaxThreads = 0;
-  size_t PeerThreads = 0; ///< Dedicated peer threads currently live.
+  std::thread Io;
 };
 
 } // namespace net

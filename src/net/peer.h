@@ -92,9 +92,6 @@ struct Peer {
   FrameDecoder Decoder;
   State St = State::Handshaking;
   bool Inbound = false;
-  /// Served by its own thread in threaded mode (else the acceptor
-  /// thread drains it round-robin).
-  bool Dedicated = false;
 
   // Negotiated by the Version exchange.
   uint64_t Services = 0;

@@ -19,9 +19,9 @@
 /// Connections are *frame-oriented with reliable FIFO ordering*: one
 /// send() carries exactly one encoded frame (net/wire.h) and frames
 /// arrive in send order unless a chaos wrapper reorders them. receive()
-/// is a non-blocking poll; waitReadable() lets the thread-per-peer loop
-/// park without spinning. Time is injected through \ref Clock so the
-/// deterministic pump mode (tests, bench) and the threaded mode (real
+/// is a non-blocking poll; waitReadable() lets the node's I/O thread
+/// park without spinning. Time is injected through \ref Clock so
+/// pump() driven by hand (tests, bench) and by the I/O thread (live
 /// runtime) share every timer and jitter computation.
 ///
 //===----------------------------------------------------------------------===//
@@ -41,7 +41,7 @@
 namespace typecoin {
 namespace net {
 
-/// Time source for the runtime, in seconds. The threaded mode uses
+/// Time source for the runtime, in seconds. A live node uses
 /// \ref SteadyClock; deterministic tests drive a \ref VirtualClock.
 class Clock {
 public:

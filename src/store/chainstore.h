@@ -49,6 +49,7 @@
 #include "store/vfs.h"
 
 #include <set>
+#include <utility>
 
 namespace typecoin {
 namespace store {
@@ -113,6 +114,13 @@ public:
   /// The WAL records found at open, in append order. Records appended
   /// since are not kept in memory: the log is their only copy.
   const std::vector<WalRecord> &walRecords() const { return WalRecs; }
+  /// Hand the records found at open to the one reader that replays
+  /// them, leaving blockRecords() / walRecords() empty, so a recovered
+  /// node does not hold its logs a second time.
+  std::vector<std::pair<std::string, Bytes>> takeBlockRecords() {
+    return std::exchange(BlockRecs, {});
+  }
+  std::vector<WalRecord> takeWalRecords() { return std::exchange(WalRecs, {}); }
   /// Deferred write-throughs still unresolved: the whole log's adds
   /// minus its dones, kept current by \ref appendWal.
   const std::vector<std::pair<std::string, Bytes>> &liveDeferred() const {

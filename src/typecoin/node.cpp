@@ -559,6 +559,10 @@ Node::openStore(store::Vfs &V, const std::string &Dir,
   EpochInterval = EpochIntervalBlocks == 0 ? 1 : EpochIntervalBlocks;
   TC_UNWRAP(Opened, store::ChainStore::open(V, Dir));
   Store = std::move(Opened);
+  // The records found at open are replayed below and dropped on return;
+  // the logs stay their only durable copy.
+  const auto BlockRecs = Store->takeBlockRecords();
+  const auto WalRecs = Store->takeWalRecords();
 
   StoreRecoverStats Stats;
   const store::OpenStats &OS = Store->openStats();
@@ -611,7 +615,7 @@ Node::openStore(store::Vfs &V, const std::string &Dir,
       Chain.setAssumeValidHeight(static_cast<int>(Epoch->TipHeight));
     bool DigestOk = true;
     bool DigestChecked = false;
-    for (const auto &[HashHex, BlockBytes] : Store->blockRecords()) {
+    for (const auto &[HashHex, BlockBytes] : BlockRecs) {
       auto B = bitcoin::Block::deserialize(BlockBytes);
       if (!B || !Chain.submitBlock(*B)) {
         // Undecodable or unconnectable records (e.g. children of a
@@ -654,7 +658,7 @@ Node::openStore(store::Vfs &V, const std::string &Dir,
   // key is not its payload's hash, is counted and dropped: registration
   // trusts every journal key to be that hash.
   Journal.clear();
-  for (const store::WalRecord &Rec : Store->walRecords()) {
+  for (const store::WalRecord &Rec : WalRecs) {
     if (Rec.Kind != store::WalKind::PairAdd)
       continue;
     auto P = deserializePair(Rec.Payload);

@@ -3,8 +3,8 @@
 // The NetNode runtime around a single concern at a time: handshake
 // completion, self-connection rejection, liveness pings and their
 // timeout, banning on corrupt frame streams, transaction gossip with
-// known-inventory dedup, and a threaded-mode smoke test (the TSan CI
-// job runs this suite with real threads).
+// known-inventory dedup, and the I/O thread that steps a started node
+// (the TSan CI job runs this suite with that thread live).
 //
 //===----------------------------------------------------------------------===//
 
@@ -256,33 +256,153 @@ TEST(NetRuntime, CrashDropsVolatileStateRestartRecovers) {
   EXPECT_EQ(C.chain(1).height(), 4);
 }
 
+/// Poll \p Cond every 5 ms for up to 5 s.
+template <typename Fn> bool waitFor(Fn Cond) {
+  for (int I = 0; I < 1000 && !Cond(); ++I)
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  return Cond();
+}
+
 TEST(NetRuntime, ThreadedModeRelaysBlocksAndStopsCleanly) {
   // Real threads over the same loopback: the TSan job exercises the
-  // lock discipline of the acceptor + per-peer service threads.
+  // lock discipline between each node's I/O thread and the caller.
   LoopbackHub Hub;
   auto Clk = std::make_shared<SteadyClock>();
   NetConfig Cfg;
   Cfg.Seed = 7;
   NetNode A(testParams(), Cfg, Hub.open("a"), Clk);
   NetNode B(testParams(), Cfg, Hub.open("b"), Clk);
-  A.start(netThreadsFromEnv());
-  B.start(netThreadsFromEnv());
+  A.start();
+  B.start();
   ASSERT_TRUE(A.connectTo("b").hasValue());
-
-  auto WaitFor = [](auto Cond) {
-    for (int I = 0; I < 1000 && !Cond(); ++I)
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    return Cond();
-  };
-  ASSERT_TRUE(WaitFor([&] { return B.readyPeerCount() == 1; }));
+  ASSERT_TRUE(waitFor([&] { return B.readyPeerCount() == 1; }));
 
   auto Miner = keyFromSeed(25);
   ASSERT_TRUE(A.mine(Miner.id(), 600).hasValue());
-  EXPECT_TRUE(WaitFor([&] { return B.chainHeight() == 1; }));
+  EXPECT_TRUE(waitFor([&] { return B.chainHeight() == 1; }));
 
   ASSERT_TRUE(B.mine(Miner.id(), 1200).hasValue());
-  EXPECT_TRUE(WaitFor([&] { return A.chainHeight() == 2; }));
+  EXPECT_TRUE(waitFor([&] { return A.chainHeight() == 2; }));
 
+  A.stop();
+  B.stop();
+  EXPECT_TRUE(A.chain().tipHash() == B.chain().tipHash());
+}
+
+TEST(NetRuntime, IoThreadServesAPeerThatDialsAfterStart) {
+  // A and B run before C exists; C's inbound link to A is accepted and
+  // drained by A's one running thread, with no per-peer spawn.
+  LoopbackHub Hub;
+  auto Clk = std::make_shared<SteadyClock>();
+  NetConfig Cfg;
+  Cfg.Seed = 31;
+  NetNode A(testParams(), Cfg, Hub.open("a"), Clk);
+  NetNode B(testParams(), Cfg, Hub.open("b"), Clk);
+  A.start();
+  B.start();
+  ASSERT_TRUE(B.connectTo("a").hasValue());
+  ASSERT_TRUE(waitFor([&] { return A.readyPeerCount() == 1; }));
+  auto Miner = keyFromSeed(26);
+  ASSERT_TRUE(A.mine(Miner.id(), 600).hasValue());
+  ASSERT_TRUE(waitFor([&] { return B.chainHeight() == 1; }));
+
+  NetNode C(testParams(), Cfg, Hub.open("c"), Clk);
+  C.start();
+  ASSERT_TRUE(C.connectTo("a").hasValue());
+  EXPECT_TRUE(waitFor([&] { return A.readyPeerCount() == 2; }));
+  // Handshake sync catches C up; a new block then relays through A.
+  EXPECT_TRUE(waitFor([&] { return C.chainHeight() == 1; }));
+  ASSERT_TRUE(B.mine(Miner.id(), 1200).hasValue());
+  EXPECT_TRUE(waitFor([&] { return C.chainHeight() == 2; }));
+  EXPECT_TRUE(C.chainTip() == B.chainTip());
+}
+
+TEST(NetRuntime, PeersDisconnectAndRedialWhileRunning) {
+  LoopbackHub Hub;
+  auto Clk = std::make_shared<SteadyClock>();
+  NetConfig Cfg;
+  Cfg.Seed = 32;
+  NetNode A(testParams(), Cfg, Hub.open("a"), Clk);
+  A.start();
+  auto Remote = Hub.open("remote");
+  for (uint64_t Round = 0; Round < 4; ++Round) {
+    // A bare endpoint that completes the handshake by hand.
+    auto CR = Remote->connect("a");
+    ASSERT_TRUE(CR.hasValue());
+    auto Conn = *CR;
+    VersionMsg V;
+    V.Nonce = 1000 + Round;
+    ASSERT_TRUE(Conn->send(encodeMessage(V)).hasValue());
+    ASSERT_TRUE(Conn->send(encodeMessage(VerackMsg{})).hasValue());
+    ASSERT_TRUE(waitFor([&] { return A.readyPeerCount() == 1; }))
+        << "round " << Round;
+    EXPECT_TRUE(A.connectedTo("remote"));
+    Conn->close();
+    ASSERT_TRUE(waitFor([&] { return A.peerCount() == 0; }))
+        << "round " << Round;
+  }
+  EXPECT_FALSE(A.isBanned("remote")); // Hanging up is not misbehaviour.
+  A.stop();
+}
+
+TEST(NetRuntime, CrashAndRestartWhileTheIoThreadRuns) {
+  LoopbackHub Hub;
+  auto Clk = std::make_shared<SteadyClock>();
+  NetConfig Cfg;
+  Cfg.Seed = 33;
+  NetNode A(testParams(), Cfg, Hub.open("a"), Clk);
+  NetNode B(testParams(), Cfg, Hub.open("b"), Clk);
+  A.start();
+  B.start();
+  ASSERT_TRUE(B.connectTo("a").hasValue());
+  ASSERT_TRUE(waitFor([&] { return A.readyPeerCount() == 1; }));
+  auto Miner = keyFromSeed(27);
+  ASSERT_TRUE(A.mine(Miner.id(), 600).hasValue());
+  ASSERT_TRUE(waitFor([&] { return B.chainHeight() == 1; }));
+
+  B.crash();
+  EXPECT_TRUE(B.isCrashed());
+  EXPECT_EQ(B.peerCount(), 0u);
+  EXPECT_TRUE(waitFor([&] { return A.peerCount() == 0; }));
+  ASSERT_TRUE(A.mine(Miner.id(), 1200).hasValue());
+
+  ASSERT_TRUE(B.restart().hasValue());
+  ASSERT_TRUE(B.connectTo("a").hasValue());
+  EXPECT_TRUE(waitFor([&] { return B.chainHeight() == 2; }));
+  EXPECT_TRUE(B.chainTip() == A.chainTip());
+  A.stop();
+  B.stop();
+}
+
+TEST(NetRuntime, StopPumpAndStartAgain) {
+  // Stopping hands the node back to pump(); starting again resumes the
+  // I/O thread on the same connections.
+  LoopbackHub Hub;
+  auto Clk = std::make_shared<SteadyClock>();
+  NetConfig Cfg;
+  Cfg.Seed = 34;
+  NetNode A(testParams(), Cfg, Hub.open("a"), Clk);
+  NetNode B(testParams(), Cfg, Hub.open("b"), Clk);
+  A.start();
+  A.start(); // Idempotent.
+  B.start();
+  ASSERT_TRUE(A.connectTo("b").hasValue());
+  ASSERT_TRUE(waitFor([&] { return B.readyPeerCount() == 1; }));
+  A.stop();
+  B.stop();
+  B.stop(); // Idempotent.
+
+  auto Miner = keyFromSeed(28);
+  ASSERT_TRUE(A.mine(Miner.id(), 600).hasValue());
+  for (int I = 0; I < 100 && A.pump() + B.pump() > 0; ++I)
+    ;
+  EXPECT_EQ(B.chain().height(), 1);
+  EXPECT_EQ(A.peerCount(), 1u);
+
+  A.start();
+  B.start();
+  ASSERT_TRUE(B.mine(Miner.id(), 1200).hasValue());
+  EXPECT_TRUE(waitFor([&] { return A.chainHeight() == 2; }));
   A.stop();
   B.stop();
   EXPECT_TRUE(A.chain().tipHash() == B.chain().tipHash());

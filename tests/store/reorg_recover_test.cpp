@@ -116,9 +116,11 @@ TEST_F(ReorgRecover, ReplaysABlockLogContainingTheFullReorg) {
   EXPECT_TRUE(Twin.isRegistered(PreforkKey));
 
   // The losing branch is still in the log (append-only), replayed as a
-  // side branch: block count covers both branches.
-  ASSERT_NE(Twin.store(), nullptr);
-  EXPECT_EQ(Twin.store()->blockRecords().size(),
+  // side branch: block count covers both branches. The replay consumed
+  // the node's copy, so read the log back through a reopen.
+  auto Reopened = store::ChainStore::open(Mem, "store");
+  ASSERT_TRUE(Reopened.hasValue()) << Reopened.error().message();
+  EXPECT_EQ((*Reopened)->blockRecords().size(),
             static_cast<size_t>(Node.chain().height()) + 1);
 }
 

@@ -105,6 +105,32 @@ TEST_F(StoreNode, GracefulRestartRebuildsTheExactFingerprint) {
             SkippedBefore);
 }
 
+TEST_F(StoreNode, OpenStoreReleasesTheRecoveredRecords) {
+  store::MemVfs Mem;
+  ASSERT_TRUE(Node.openStore(Mem, "store", 2).hasValue());
+  grantAndConfirm("alpha");
+  ASSERT_TRUE(Node.flushStoreEpoch());
+  std::string Fp = Node.state().fingerprint();
+
+  Mem.crash();
+  tc::Node Twin;
+  auto R = Twin.openStore(Mem, "store", 2);
+  ASSERT_TRUE(R.hasValue()) << R.error().message();
+  ASSERT_TRUE(R->FromDisk);
+  EXPECT_EQ(R->JournalRestored, 1u);
+  EXPECT_EQ(Twin.state().fingerprint(), Fp);
+  // Replay consumed the records; the node's store keeps no copy...
+  ASSERT_NE(Twin.store(), nullptr);
+  EXPECT_TRUE(Twin.store()->blockRecords().empty());
+  EXPECT_TRUE(Twin.store()->walRecords().empty());
+  // ...while the disk still holds them for the next restart.
+  auto Reopened = store::ChainStore::open(Mem, "store");
+  ASSERT_TRUE(Reopened.hasValue()) << Reopened.error().message();
+  EXPECT_EQ((*Reopened)->blockRecords().size(),
+            static_cast<size_t>(Node.chain().height()));
+  EXPECT_EQ((*Reopened)->walRecords().size(), 1u);
+}
+
 TEST_F(StoreNode, WalKeepsAcknowledgedPairsThroughACrash) {
   store::MemVfs Mem;
   ASSERT_TRUE(Node.openStore(Mem, "store", /*EpochInterval=*/100).hasValue());

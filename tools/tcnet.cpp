@@ -19,8 +19,9 @@
 ///   TYPECOIN_NET_CONNECT   comma-separated addresses the local node
 ///                          dials (default: every other swarm node)
 ///   TYPECOIN_COMPACT_RELAY 0/off/false disables compact-block relay
-///   TYPECOIN_NET_THREADS   thread cap in --threaded mode (0 = one
-///                          thread per peer)
+///
+/// --threaded starts each node's I/O thread against a steady clock in
+/// place of pumping the swarm by hand.
 ///
 /// Exit status: 0 converged, 1 swarm failed to converge, 2 usage.
 ///
@@ -58,19 +59,17 @@ bitcoin::ChainParams demoParams() {
   return P;
 }
 
-/// Spend the coinbase of best-chain block \p Height (mined to \p Key).
-bitcoin::Transaction spendCoinbase(const bitcoin::Blockchain &Chain,
-                                   int Height, const crypto::PrivateKey &Key,
+/// Spend the coinbase of \p B (mined to \p Key).
+bitcoin::Transaction spendCoinbase(const bitcoin::Block &B,
+                                   const crypto::PrivateKey &Key,
                                    const crypto::KeyId &To) {
-  const bitcoin::Block *B = Chain.blockByHash(*Chain.blockHashAt(Height));
+  const bitcoin::TxOut &Out = B.Txs[0].Outputs[0];
   bitcoin::Transaction Tx;
-  Tx.Inputs.push_back(
-      bitcoin::TxIn{bitcoin::OutPoint{B->Txs[0].txid(), 0}, {}});
-  Tx.Outputs.push_back(bitcoin::TxOut{B->Txs[0].Outputs[0].Value - 10000,
-                                      bitcoin::makeP2PKH(To)});
-  auto Sig =
-      bitcoin::signInput(Tx, 0, B->Txs[0].Outputs[0].ScriptPubKey, {Key});
-  Tx.Inputs[0].ScriptSig = *Sig;
+  Tx.Inputs.push_back(bitcoin::TxIn{bitcoin::OutPoint{B.Txs[0].txid(), 0}, {}});
+  Tx.Outputs.push_back(
+      bitcoin::TxOut{Out.Value - 10000, bitcoin::makeP2PKH(To)});
+  Tx.Inputs[0].ScriptSig =
+      *bitcoin::signInput(Tx, 0, Out.ScriptPubKey, {Key});
   return Tx;
 }
 
@@ -137,7 +136,7 @@ SwarmReport runSwarm(size_t NumNodes, int NumBlocks, int TxPerBlock,
     for (int I = 0; I < 2000; ++I) {
       bool Ok = true;
       for (auto &N : Nodes)
-        Ok = Ok && N->chain().height() == ExpectHeight;
+        Ok = Ok && N->chainHeight() == ExpectHeight;
       if (Ok)
         return;
       std::this_thread::sleep_for(std::chrono::milliseconds(5));
@@ -146,7 +145,7 @@ SwarmReport runSwarm(size_t NumNodes, int NumBlocks, int TxPerBlock,
 
   if (Threaded)
     for (auto &N : Nodes)
-      N->start(netThreadsFromEnv());
+      N->start();
   else
     Settle();
 
@@ -155,11 +154,15 @@ SwarmReport runSwarm(size_t NumNodes, int NumBlocks, int TxPerBlock,
   crypto::KeyId Sink = crypto::PrivateKey::generate(Rand).id();
   NetNode &MinerNode = *Nodes[NumNodes > 1 ? 1 : 0];
 
-  // Funding: one mature coinbase per spend we intend to gossip.
+  // Funding: one mature coinbase per spend we intend to gossip. The
+  // spends are built from the mined blocks, not from a chain read that
+  // would race the I/O threads.
   int Funding = NumBlocks * TxPerBlock;
   uint32_t T = 0;
+  std::vector<bitcoin::Block> Funded;
   for (int I = 1; I <= Funding; ++I)
-    (void)!MinerNode.mine(Miner.id(), T += 600);
+    if (auto Blk = MinerNode.mine(Miner.id(), T += 600))
+      Funded.push_back(Blk.takeValue());
   if (!Threaded)
     Settle();
   else
@@ -171,10 +174,12 @@ SwarmReport runSwarm(size_t NumNodes, int NumBlocks, int TxPerBlock,
       // A node with no live peers may still be at genesis — the spend's
       // funding block isn't on its chain yet, so there is nothing to
       // submit (the final convergence check reports the divergence).
-      if (Nodes[0]->chain().height() < B * TxPerBlock + I)
+      int Height = B * TxPerBlock + I;
+      if (Nodes[0]->chainHeight() < Height ||
+          static_cast<int>(Funded.size()) < Height)
         break;
-      Status S = Nodes[0]->submitTransaction(spendCoinbase(
-          Nodes[0]->chain(), B * TxPerBlock + I, Miner, Sink));
+      Status S = Nodes[0]->submitTransaction(
+          spendCoinbase(Funded[Height - 1], Miner, Sink));
       if (!S && !Quiet)
         std::fprintf(stderr, "tcnet: submit failed: %s\n", S.error().message().c_str());
     }
